@@ -171,7 +171,9 @@ def test_fleet_scaling_contract():
 
 
 #: Peer-fetch bench: spans long enough that a decode dwarfs a localhost
-#: round trip; the 1ms batch window rides on both sides of the compare.
+#: round trip.  Each timed read is the only request its owner has in
+#: flight, so neither side of the compare waits for the 1ms batch
+#: window.
 PEER_SPAN = 16
 PEER_TRIALS = 8
 

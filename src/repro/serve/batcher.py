@@ -14,7 +14,10 @@ concurrent requests into few pool calls three ways:
 * **Micro-batching** -- groups that miss the cache queue up for a
   configurable *window*; everything queued when the window closes is
   decoded in one executor call, so the event loop pays one
-  thread-handoff per batch rather than per group.
+  thread-handoff per batch rather than per group.  Given its owner's
+  count of requests in flight, the window only opens while there is
+  more than one: a lone request has no co-riders to wait for, so it
+  goes to the pool at once.
 
 ``window=0`` disables the scheduler entirely: spans are decoded
 synchronously per request (still through the executor so the event
@@ -270,7 +273,7 @@ class MicroBatcher:
 
     def __init__(self, registry, cache, window=0.002, max_batch=128,
                  executor=None, metrics=None, high_dict=None,
-                 low_dict=None, peer_fetch=None):
+                 low_dict=None, peer_fetch=None, in_flight=None):
         self.registry = registry
         self.cache = cache
         self.window = window
@@ -284,6 +287,12 @@ class MicroBatcher:
         #: whatever it cannot produce falls through to the decode path,
         #: so the hook can never make a request fail -- only faster.
         self.peer_fetch = peer_fetch
+        #: Optional ``() -> int``: the requests the owner has in flight,
+        #: counting those not yet in the batcher (still being admitted
+        #: or parsed, or waiting on a peer).  A window opens only when
+        #: it is above one; without it every window opens, since the
+        #: batcher alone cannot see a co-rider before it arrives.
+        self.in_flight = in_flight
         self._pending = {}  # (digest, group) -> [future, image, waiters]
         self._queue = asyncio.Queue()
         self._task = None
@@ -428,6 +437,11 @@ class MicroBatcher:
 
     # -- batch loop ----------------------------------------------------------
 
+    def _co_riders(self):
+        """Whether a window could gather anything: more than one
+        request in flight, or no count to tell."""
+        return self.in_flight is None or self.in_flight() > 1
+
     @staticmethod
     def _decode_groups(image, groups):
         """Executor-side decode; exceptions are returned, not raised, so
@@ -444,7 +458,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
-            if self.window > 0:
+            if self._co_riders():
                 # The micro-batch window: let concurrent requests pile
                 # onto the queue before paying for an executor handoff.
                 await asyncio.sleep(self.window)
@@ -493,8 +507,8 @@ class MicroBatcher:
         while True:
             first = await self._compress_queue.get()
             self._compress_inflight += 1
-            if self.window > 0:
-                await self._sleep_window()
+            if self._co_riders():
+                await asyncio.sleep(self.window)
             jobs = [first]
             while len(jobs) < self.max_batch:
                 try:
@@ -548,6 +562,3 @@ class MicroBatcher:
             self._compress_inflight -= len(jobs)
             if self.metrics is not None:
                 self.metrics.record_compress_batch(len(jobs))
-
-    async def _sleep_window(self):
-        await asyncio.sleep(self.window)

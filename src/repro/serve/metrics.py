@@ -52,6 +52,7 @@ class MetricsRegistry:
         self.requests = Counter()       # by request type name
         self.responses = Counter()      # by request type name
         self.errors = Counter()         # by ERR_* name
+        self.swallowed = Counter()      # fail-open handlers, by site
         self.rejected = 0               # refused before queueing
         self.redirected = 0             # answered with RESP_REDIRECT
         self._latencies = deque(maxlen=LATENCY_WINDOW)
@@ -88,6 +89,14 @@ class MetricsRegistry:
 
     def record_error(self, name):
         self.errors[name] += 1
+
+    def record_swallowed(self, name):
+        """A fail-open handler caught an exception and carried on.
+
+        Kept apart from :attr:`errors`, which counts error frames sent
+        to clients: a swallowed error never reaches a client.
+        """
+        self.swallowed[name] += 1
 
     def record_rejected(self):
         self.rejected += 1
@@ -218,6 +227,7 @@ class MetricsRegistry:
             "requests": dict(self.requests),
             "responses": dict(self.responses),
             "errors": dict(self.errors),
+            "swallowed": dict(self.swallowed),
             "rejected": self.rejected,
             "redirected": self.redirected,
             "qps": {
@@ -269,7 +279,7 @@ def merge_snapshots(snapshots, shards=None):
     if not snaps:
         return {"workers": 0}
     out = {"workers": len(snaps)}
-    for key in ("requests", "responses", "errors"):
+    for key in ("requests", "responses", "errors", "swallowed"):
         _merge_counters(out, key, snaps)
     for key in ("rejected", "redirected"):
         out[key] = sum(snap.get(key, 0) for snap in snaps)

@@ -20,13 +20,19 @@ Robustness model:
   immediately with an ``overloaded`` error frame instead of growing an
   unbounded queue.
 * **Deadlines** -- every admitted request gets
-  ``request_timeout`` seconds; an expired request is answered with a
-  ``timeout`` error frame and its late result (if any) is discarded.
+  ``request_timeout`` seconds, enforced by a timer on the request's own
+  task; an expired request is answered with a ``timeout`` error frame
+  and its late result (if any) is discarded.  A decode it started
+  still lands in the group cache.
 * **Malformed input** -- payloads that fail to parse produce typed
   ``malformed`` error frames; an unparseable *envelope* (bad length
   prefix) is answered where possible and then the connection is closed,
   because framing cannot be resynchronised.  The server itself keeps
   serving other connections in every case.
+* **Fail-open paths** -- best-effort work (snapshot writes,
+  replication, handoff, closing peer clients and writers, responses to
+  vanished clients) swallows its errors, but each site counts under its
+  own name in the ``swallowed`` section of the metrics snapshot.
 * **Graceful shutdown** -- :meth:`shutdown` stops accepting
   connections and frames, lets every already-admitted request finish
   and flush its response, then tears down the batcher and executor.
@@ -104,7 +110,9 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                  # 0 = pick an ephemeral port
-    batch_window: float = 0.002    # seconds; 0 disables micro-batching
+    # Seconds a miss waits for co-riders while other requests are in
+    # flight (a lone request never waits); 0 disables micro-batching.
+    batch_window: float = 0.002
     max_batch: int = 128           # group decodes per pool call
     group_cache_entries: int = 4096  # 0 disables the decoded-group cache
     max_images: int = 64
@@ -273,7 +281,8 @@ class CodePackServer:
             high_dict=self.shared_dicts[0],
             low_dict=self.shared_dicts[1],
             peer_fetch=(self._peer_fetch if self.config.peer_fetch
-                        else None)).start()
+                        else None),
+            in_flight=lambda: self._active).start()
         self.metrics.register_gauge("queue_depth", lambda: self._active)
         self.metrics.register_gauge("queue_limit",
                                     lambda: self.config.queue_limit)
@@ -379,18 +388,19 @@ class CodePackServer:
             try:
                 self._write_snapshot()
             except Exception:
-                pass  # a failed farewell snapshot must not block exit
+                # A failed farewell snapshot must not block exit.
+                self.metrics.record_swallowed("snapshot_farewell")
         for client in self._peer_clients.values():
             try:
                 await client.close()
             except Exception:
-                pass
+                self.metrics.record_swallowed("peer_close_shutdown")
         self._peer_clients.clear()
         for conn in list(self._connections):
             try:
                 conn.writer.close()
             except Exception:
-                pass
+                self.metrics.record_swallowed("writer_close")
         self._connections.clear()
         if self.executor is not None:
             self.executor.shutdown(wait=True)
@@ -453,7 +463,8 @@ class CodePackServer:
             try:
                 await self.snapshot_now()
             except Exception:
-                pass  # persistence is best-effort; serving goes on
+                # Persistence is best-effort; serving goes on.
+                self.metrics.record_swallowed("snapshot_write")
 
     # -- connection handling -------------------------------------------------
 
@@ -490,10 +501,12 @@ class CodePackServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except BaseException:
+            except asyncio.CancelledError:
                 # wait_closed re-raises CancelledError while the task
-                # is being torn down; nothing left to clean up either way.
+                # is being torn down; nothing left to clean up.
                 pass
+            except Exception:
+                self.metrics.record_swallowed("writer_close")
 
     def _admit(self, conn, frame):
         """Admission control: reject, or spawn a tracked request task."""
@@ -536,9 +549,7 @@ class CodePackServer:
         try:
             try:
                 try:
-                    payload = await asyncio.wait_for(
-                        self._dispatch(frame),
-                        timeout=self.config.request_timeout)
+                    payload = await self._dispatch_by_deadline(frame)
                 except asyncio.TimeoutError:
                     raise ProtocolError(
                         protocol.ERR_TIMEOUT,
@@ -573,6 +584,43 @@ class CodePackServer:
                 await self._send_error(conn, frame.request_id, exc)
         finally:
             self._active -= 1
+
+    async def _dispatch_by_deadline(self, frame):
+        """:meth:`_dispatch` on this request's own task, under its deadline.
+
+        A timer cancels the task if the deadline passes while it is
+        still inside ``_dispatch``; after that, whatever ``_dispatch``
+        ends with leaves here as :class:`asyncio.TimeoutError`, a late
+        result included.  Any other cancel (shutdown, loop teardown)
+        propagates.  ``asyncio.wait_for`` would run every dispatch in a
+        second task, and ``asyncio.timeout`` needs 3.11.
+        """
+        task = asyncio.current_task()
+        expired = False
+
+        def expire():
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(
+            self.config.request_timeout, expire)
+        try:
+            payload = await self._dispatch(frame)
+        except (asyncio.CancelledError, Exception):
+            if not expired:
+                raise
+        finally:
+            timer.cancel()
+        if not expired:
+            return payload
+        # The timer's cancel came out of _dispatch, or something inside
+        # dropped it (wait_for on 3.9-3.11 does when its future finished
+        # in the same tick).  From 3.11 tasks count cancel requests:
+        # withdraw ours, and propagate another (shutdown) still pending.
+        if hasattr(task, "uncancel") and task.uncancel():
+            raise asyncio.CancelledError()
+        raise asyncio.TimeoutError()
 
     async def _dispatch(self, frame):
         if frame.type == protocol.REQ_PING:
@@ -1050,7 +1098,8 @@ class CodePackServer:
                     self.registry.register(digest, image)
                     image_registered = True
             except (ContainerError, ValueError):
-                pass  # a bad rider drops; the groups may still serve
+                # A bad rider drops; the groups may still serve.
+                self.metrics.record_swallowed("replicate_rider")
         accepted = 0
         n_bytes = 0
         if mode == protocol.REPLICATE_HANDOFF:
@@ -1090,7 +1139,8 @@ class CodePackServer:
             except asyncio.CancelledError:
                 raise
             except Exception:
-                pass  # replication is an optimisation, never a crash
+                # Replication is an optimisation, never a crash.
+                self.metrics.record_swallowed("replicate_cycle")
 
     async def _replicate_once(self):
         if self.ring is None or len(self.ring) < 2 or self._closing:
@@ -1124,6 +1174,7 @@ class CodePackServer:
                     timeout=self.config.peer_timeout)
                 protocol.decode_replicate_response(frame.payload)
             except Exception:
+                self.metrics.record_swallowed("replicate_push")
                 self._peer_clients.pop(target, None)
                 continue
             if image_bytes is not None:
@@ -1178,7 +1229,7 @@ class CodePackServer:
                 try:
                     await client.close()
                 except Exception:
-                    pass
+                    self.metrics.record_swallowed("peer_close_reshard")
         self.metrics.record_reshard(epoch)
         self._membership_state["reshards"] += 1
         return protocol.encode_json_payload({
@@ -1238,6 +1289,7 @@ class CodePackServer:
                             protocol.decode_replicate_response(
                                 frame.payload)
                     except Exception:
+                        self.metrics.record_swallowed("handoff_push")
                         self._peer_clients.pop(target, None)
                         break  # unreachable target: new owner decodes
                     image_bytes = None  # riders go once per digest
@@ -1275,7 +1327,8 @@ class CodePackServer:
                 conn.writer.write(frame)
                 await conn.writer.drain()
             except (ConnectionError, RuntimeError, OSError):
-                pass  # client went away; its response is undeliverable
+                # The client went away; its response is undeliverable.
+                self.metrics.record_swallowed("send_undeliverable")
 
     async def _send_error(self, conn, request_id, error):
         await self._send(conn, protocol.RESP_ERROR, request_id,

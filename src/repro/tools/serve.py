@@ -70,7 +70,8 @@ def _add_server_options(parser):
     parser.add_argument("--port", type=int, default=7633,
                         help="listen port (0 = ephemeral; default 7633)")
     parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                        help="micro-batch coalescing window in ms "
+                        help="micro-batch coalescing window in ms; a "
+                             "lone request never waits for it "
                              "(0 disables batching; default 2)")
     parser.add_argument("--max-batch", type=int, default=128,
                         help="max group decodes per pool call")
@@ -113,6 +114,15 @@ def _cmd_serve(args):
               % (config.host, server.port, config.batch_window * 1000.0,
                  config.group_cache_entries, config.queue_limit))
         sys.stdout.flush()
+        # From here SIGTERM is handled on the loop, as in a fleet
+        # worker: the KeyboardInterrupt of _trap_sigterm is dropped when
+        # it lands in a finalizer (a __del__ or a weakref callback), and
+        # the server would serve on.
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel)
+        except (NotImplementedError, RuntimeError):
+            pass  # no loop signal handling here; the trap stays
         try:
             await server.serve_forever()
         except asyncio.CancelledError:

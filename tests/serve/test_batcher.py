@@ -1,6 +1,7 @@
 """Batcher tests: group cache LRU behaviour, coalescing, windowing."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -218,3 +219,126 @@ class TestMicroBatcher:
         words = run(main())
         per_group = image.block_instructions * image.group_blocks
         assert len(words) == 4 * per_group
+
+
+class TestLoneRequests:
+    """Given its owner's count of requests in flight, the window waits
+    for co-riders that exist: a lone call goes to the pool at once,
+    concurrent calls still share one batch."""
+
+    #: Long enough that a call which waited it out cannot pass.
+    WINDOW = 0.5
+
+    def _batcher(self, image, digest, metrics, active):
+        """A batcher whose owner has ``active[0]`` requests in flight."""
+        return make_batcher(image, digest, window=self.WINDOW,
+                            metrics=metrics,
+                            in_flight=lambda: active[0]).start()
+
+    def test_lone_span_skips_the_window(self, image, digest):
+        metrics = MetricsRegistry()
+
+        async def main():
+            batcher = self._batcher(image, digest, metrics, [1])
+            try:
+                began = time.perf_counter()
+                words = await batcher.decode_span(digest, 1, 2)
+                return words, time.perf_counter() - began
+            finally:
+                await batcher.stop()
+
+        words, elapsed = run(main())
+        per_group = image.block_instructions * image.group_blocks
+        from repro.codepack.decompressor import decompress_program
+        assert words == decompress_program(image)[per_group:3 * per_group]
+        assert elapsed < self.WINDOW / 2
+        assert metrics.batches == 1
+        assert metrics.batched_groups == 2
+
+    def test_lone_compress_skips_the_window(self, image, digest):
+        program = random_word_program(8, size=300, kind="workload")
+        metrics = MetricsRegistry()
+
+        async def main():
+            batcher = self._batcher(image, digest, metrics, [1])
+            try:
+                began = time.perf_counter()
+                compressed = await batcher.compress(program.text,
+                                                    name=program.name)
+                return compressed, time.perf_counter() - began
+            finally:
+                await batcher.stop()
+
+        compressed, elapsed = run(main())
+        assert image_digest(compressed) == image_digest(
+            compress_words(program.text, name=program.name))
+        assert elapsed < self.WINDOW / 2
+        assert metrics.compress_batches == 1
+
+    def test_concurrent_spans_share_one_batch(self, image, digest):
+        metrics = MetricsRegistry()
+
+        async def main():
+            batcher = self._batcher(image, digest, metrics, [10])
+            try:
+                began = time.perf_counter()
+                results = await asyncio.gather(
+                    *[batcher.decode_span(digest, group, 1)
+                      for group in range(10)])
+                return results, time.perf_counter() - began
+            finally:
+                await batcher.stop()
+
+        results, elapsed = run(main())
+        per_group = image.block_instructions * image.group_blocks
+        from repro.codepack.decompressor import decompress_program
+        words = decompress_program(image)
+        for group, got in enumerate(results):
+            assert got == words[group * per_group:(group + 1) * per_group]
+        # Co-riders existed, so the window opened and merged them all.
+        assert elapsed >= 0.9 * self.WINDOW
+        assert metrics.batches == 1
+        assert metrics.batched_requests == 10
+        assert metrics.batched_groups == 10
+
+    def test_co_rider_not_yet_in_the_batcher_still_rides(self, image,
+                                                          digest):
+        """The owner counts a request before it reaches the batcher
+        (still being read or parsed), so the first miss waits for it."""
+        metrics = MetricsRegistry()
+
+        async def main():
+            batcher = self._batcher(image, digest, metrics, [2])
+            try:
+                first = asyncio.ensure_future(
+                    batcher.decode_span(digest, 0, 1))
+                await asyncio.sleep(self.WINDOW / 5)
+                second = await batcher.decode_span(digest, 1, 1)
+                return await first, second
+            finally:
+                await batcher.stop()
+
+        first, second = run(main())
+        per_group = image.block_instructions * image.group_blocks
+        from repro.codepack.decompressor import decompress_program
+        words = decompress_program(image)
+        assert first == words[:per_group]
+        assert second == words[per_group:2 * per_group]
+        assert metrics.batches == 1
+        assert metrics.batched_requests == 2
+
+    def test_without_a_count_every_window_opens(self, image, digest):
+        metrics = MetricsRegistry()
+
+        async def main():
+            batcher = make_batcher(image, digest, window=self.WINDOW,
+                                   metrics=metrics).start()
+            try:
+                began = time.perf_counter()
+                await batcher.decode_span(digest, 1, 2)
+                return time.perf_counter() - began
+            finally:
+                await batcher.stop()
+
+        assert run(main()) >= 0.9 * self.WINDOW
+        assert metrics.batches == 1

@@ -124,6 +124,19 @@ class TestMergeSnapshots:
         assert merged["responses"] == {"decompress": 3}
         assert merged["redirected"] == 3
 
+    def test_swallowed_counters_sum_apart_from_errors(self):
+        snaps = []
+        for names in (["snapshot_write", "replicate_push"],
+                      ["replicate_push"]):
+            registry = MetricsRegistry()
+            for name in names:
+                registry.record_swallowed(name)
+            snaps.append(registry.snapshot())
+        merged = merge_snapshots(snaps)
+        assert merged["swallowed"] == {"snapshot_write": 1,
+                                       "replicate_push": 2}
+        assert merged["errors"] == {}
+
     def test_exact_percentiles_from_raw_samples(self):
         """With every worker exporting its sample window the merged
         percentiles are computed over the union -- not averaged."""

@@ -132,6 +132,28 @@ class TestReplicationPump:
         run(main())
 
 
+class TestSwallowedReplication:
+    def test_push_to_a_stopped_peer_is_counted(self):
+        """The pump stays fail-open when its successor is gone, and the
+        dropped push shows up as a named counter, not an error frame."""
+        async def main():
+            async with local_fleet(2, replicate_interval=0) as fleet:
+                async with FleetClient(fleet.addresses) as client:
+                    starts = list(range(2, IMAGE.n_groups - 2, 2))
+                    digest = await warm_fleet(client, starts)
+                    owner = client.shard_for(digest, starts[0])
+                peer = client.ring.successor(routing_key(digest, starts[0]))
+                await fleet.server(peer).shutdown()
+                server = fleet.server(owner)
+                pushed = await server._replicate_once()
+                return pushed, server.metrics.snapshot()
+
+        pushed, snap = run(main())
+        assert pushed == 0
+        assert snap["swallowed"]["replicate_push"] >= 1
+        assert snap["errors"] == {}
+
+
 class TestPeerFetch:
     def test_cold_owner_heals_from_successor_byte_identical(self):
         async def main():

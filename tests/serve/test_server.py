@@ -8,11 +8,20 @@ completing admitted requests.
 
 import asyncio
 import contextlib
+import os
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import time
 
 import pytest
 
-from repro.codepack.compressor import compress_words
+import repro
+from repro.codepack.compressor import GROUP_INSTRUCTIONS, compress_words
 from repro.codepack.decompressor import decompress_program
+from repro.serve import batcher as batcher_mod
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServerClosedError
 from repro.serve.protocol import FrameDecoder, ProtocolError
@@ -339,7 +348,326 @@ class TestDeadlinesAndBackpressure:
         assert rejected == len(overloaded)
 
 
+class TestDeadlineOnRequestTask:
+    """The deadline cancels the request's own task; only that cancel
+    becomes a ``timeout`` frame."""
+
+    def test_deadline_mid_decode_still_warms_the_cache(self, monkeypatch):
+        decoded = []
+        real = batcher_mod.decode_groups_batch
+
+        def slow(items):
+            items = list(items)
+            time.sleep(0.3)
+            decoded.extend(group for _image, group in items)
+            return real(items)
+
+        async def main():
+            async with running_server() as server:
+                async with connected(server) as client:
+                    digest, _ = await client.compress(
+                        PROGRAM.text, name=PROGRAM.name, timeout=30.0)
+                    monkeypatch.setattr(batcher_mod, "decode_groups_batch",
+                                        slow)
+                    server.config.request_timeout = 0.1
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await client.decompress(digest=digest, group_start=1,
+                                                group_count=2, timeout=5.0)
+                    assert excinfo.value.code == protocol.ERR_TIMEOUT
+                    # The expired request's batch runs on and lands.
+                    deadline = time.monotonic() + 5.0
+                    while server.cache.peek((digest, 2)) is None:
+                        assert time.monotonic() < deadline
+                        await asyncio.sleep(0.01)
+                    server.config.request_timeout = 30.0
+                    hits = server.cache.hits
+                    words = await client.decompress(
+                        digest=digest, group_start=1, group_count=2,
+                        timeout=5.0)
+                    return (words, server.cache.hits - hits,
+                            server.metrics.snapshot())
+
+        words, new_hits, snap = run(main())
+        assert words == EXPECTED_WORDS[GROUP_INSTRUCTIONS:
+                                       3 * GROUP_INSTRUCTIONS]
+        assert new_hits == 2
+        assert decoded == [1, 2]
+        assert snap["errors"] == {"timeout": 1}
+
+    def test_timeout_error_from_a_handler_maps_to_timeout_frame(self):
+        async def main():
+            async with running_server() as server:
+                async with connected(server) as client:
+                    async def raising(frame):
+                        raise asyncio.TimeoutError()
+
+                    server._dispatch = raising
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await client.ping(timeout=5.0)
+            return excinfo.value
+
+        error = run(main())
+        assert error.code == protocol.ERR_TIMEOUT
+        assert error.message == "request exceeded 30.000s deadline"
+
+    def test_external_cancel_propagates(self):
+        """A cancel from outside (shutdown, loop teardown) ends the
+        request task instead of turning into a timeout frame."""
+        started = []
+
+        async def main():
+            async with running_server() as server:
+                async with connected(server) as client:
+                    async def parked(frame):
+                        started.append(asyncio.current_task())
+                        await asyncio.sleep(10.0)
+
+                    server._dispatch = parked
+                    ping = asyncio.ensure_future(client.ping(timeout=10.0))
+                    while not started:
+                        await asyncio.sleep(0.005)
+                    started[0].cancel()
+                    await asyncio.wait(started)
+                    ping.cancel()
+                    await asyncio.gather(ping, return_exceptions=True)
+                    return dict(server.metrics.errors)
+
+        errors = run(main())
+        assert started[0].cancelled()
+        assert errors == {}
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="tasks count their cancel requests "
+                               "from Python 3.11")
+    def test_external_cancel_beside_an_expired_deadline_propagates(self):
+        started = []
+
+        async def main():
+            async with running_server(request_timeout=0.05) as server:
+                async with connected(server) as client:
+                    async def blocking(frame):
+                        task = asyncio.current_task()
+                        started.append(task)
+                        asyncio.get_running_loop().call_later(0.05,
+                                                              task.cancel)
+                        # Both cancels fall due while the loop is held,
+                        # so both reach the task before it resumes.
+                        time.sleep(0.2)
+                        await asyncio.sleep(10.0)
+
+                    server._dispatch = blocking
+                    ping = asyncio.ensure_future(client.ping(timeout=10.0))
+                    while not started:
+                        await asyncio.sleep(0.005)
+                    await asyncio.wait(started)
+                    ping.cancel()
+                    await asyncio.gather(ping, return_exceptions=True)
+                    return dict(server.metrics.errors)
+
+        errors = run(main())
+        assert started[0].cancelled()
+        assert errors == {}
+
+    def test_late_result_after_a_dropped_deadline_cancel_is_discarded(self):
+        """Something inside the handler drops the deadline's cancel (as
+        wait_for on 3.9-3.11 can) and returns anyway: the late result
+        still becomes a timeout frame, and the task is not left with a
+        cancel request pending."""
+        tasks = []
+
+        async def main():
+            async with running_server(request_timeout=0.05) as server:
+                async with connected(server) as client:
+                    async def stubborn(frame):
+                        tasks.append(asyncio.current_task())
+                        try:
+                            await asyncio.sleep(10.0)
+                        except asyncio.CancelledError:
+                            pass
+                        return b""
+
+                    server._dispatch = stubborn
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await client.ping(timeout=5.0)
+                    await asyncio.wait(tasks)
+                    return excinfo.value, dict(server.metrics.errors)
+
+        error, errors = run(main())
+        assert error.code == protocol.ERR_TIMEOUT
+        assert errors == {"timeout": 1}
+        assert not tasks[0].cancelled()
+        if hasattr(tasks[0], "cancelling"):
+            assert tasks[0].cancelling() == 0
+
+
+class TestBatchWindow:
+    """The server's count of admitted requests tells the batcher whether
+    a window could gather co-riders."""
+
+    #: Long enough that a request which waited it out cannot pass.
+    WINDOW = 0.5
+
+    def test_lone_requests_skip_the_window(self):
+        async def main():
+            async with running_server(batch_window=self.WINDOW) as server:
+                async with connected(server) as client:
+                    began = time.perf_counter()
+                    digest, _ = await client.compress(
+                        PROGRAM.text, name=PROGRAM.name, timeout=30.0)
+                    compressed = time.perf_counter()
+                    words = await client.decompress(
+                        digest=digest, group_start=1, group_count=2,
+                        timeout=30.0)
+                    done = time.perf_counter()
+                    return (words, compressed - began, done - compressed,
+                            server.metrics.snapshot())
+
+        words, compress_s, decompress_s, snap = run(main())
+        assert words == EXPECTED_WORDS[GROUP_INSTRUCTIONS:
+                                       3 * GROUP_INSTRUCTIONS]
+        assert compress_s < self.WINDOW / 2
+        assert decompress_s < self.WINDOW / 2
+        assert snap["batch"]["batches"] == 1
+        assert snap["batch"]["compress_batches"] == 1
+
+    def test_concurrent_spans_share_one_batch(self):
+        async def main():
+            async with running_server(batch_window=self.WINDOW) as server:
+                async with connected(server) as client:
+                    digest, _ = await client.compress(
+                        PROGRAM.text, name=PROGRAM.name, timeout=30.0)
+                    results = await asyncio.gather(
+                        *[client.decompress(digest=digest, group_start=g,
+                                            group_count=1, timeout=30.0)
+                          for g in range(10)])
+                    return results, server.metrics.snapshot()
+
+        results, snap = run(main())
+        for group, words in enumerate(results):
+            assert words == EXPECTED_WORDS[group * GROUP_INSTRUCTIONS:
+                                           (group + 1) * GROUP_INSTRUCTIONS]
+        assert snap["batch"]["batches"] == 1
+        assert snap["batch"]["requests"] == 10
+        assert snap["batch"]["groups"] == 10
+
+
+class TestSwallowedCounters:
+    """Fail-open paths stay fail-open but count under their own names,
+    apart from the error frames in ``errors``."""
+
+    def test_farewell_snapshot_into_unwritable_dir(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the snapshot directory goes")
+
+        async def main():
+            server = CodePackServer(ServerConfig(
+                port=0, snapshot_dir=str(blocker / "snapshots")))
+            await server.start()
+            await server.shutdown()  # must not raise
+            return server.metrics.snapshot()
+
+        snap = run(main())
+        assert snap["swallowed"] == {"snapshot_farewell": 1}
+        assert snap["errors"] == {}
+
+    def test_periodic_snapshot_into_unwritable_dir(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the snapshot directory goes")
+
+        async def main():
+            async with running_server(
+                    snapshot_dir=str(blocker / "snapshots"),
+                    snapshot_interval=0.01) as server:
+                async with connected(server) as client:
+                    deadline = time.monotonic() + 5.0
+                    while not server.metrics.swallowed["snapshot_write"]:
+                        assert time.monotonic() < deadline
+                        await asyncio.sleep(0.01)
+                    return await client.metrics(timeout=5.0)
+
+        snap = run(main())
+        assert snap["swallowed"]["snapshot_write"] >= 1
+        assert snap["errors"] == {}
+
+    def test_undeliverable_response_is_counted(self):
+        async def main():
+            async with running_server() as server:
+                _slow_dispatch(server, 0.1)
+                _reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(protocol.encode_frame(protocol.REQ_PING, 1,
+                                                   b""))
+                await writer.drain()
+                await asyncio.sleep(0.02)  # let the server admit it
+                # Linger 0 makes the close a reset: the reply has nowhere
+                # to go.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+                writer.transport.abort()
+                deadline = time.monotonic() + 5.0
+                while not server.metrics.swallowed["send_undeliverable"]:
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.01)
+                return server.metrics.snapshot()
+
+        snap = run(main())
+        assert snap["swallowed"]["send_undeliverable"] >= 1
+        assert snap["errors"] == {}
+
+
+#: ``repro.tools.serve serve`` with a finalizer that spins for a second
+#: shortly after the server starts, announcing itself first.
+SLOW_FINALIZER_SERVE = """
+import asyncio, sys, time
+from repro.serve.server import CodePackServer
+from repro.tools import serve
+
+class SlowFinalizer:
+    def __del__(self):
+        print("finalizing", flush=True)
+        end = time.monotonic() + 1.0
+        while time.monotonic() < end:
+            pass
+
+started = CodePackServer.start
+
+async def start(self):
+    await started(self)
+    asyncio.get_running_loop().call_later(0.1, SlowFinalizer)
+    return self
+
+CodePackServer.start = start
+sys.exit(serve.main(["serve", "--port", "0"]))
+"""
+
+
 class TestGracefulShutdown:
+    def test_sigterm_during_a_finalizer_drains_the_serve_command(
+            self, tmp_path):
+        """A KeyboardInterrupt raised by a signal handler is dropped
+        when it lands in a finalizer; SIGTERM must still drain the
+        server and exit 0."""
+        script = tmp_path / "serve_slow_finalizer.py"
+        script.write_text(SLOW_FINALIZER_SERVE)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, str(script)],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert "listening" in proc.stdout.readline()
+            assert proc.stdout.readline().strip() == "finalizing"
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=20.0)
+            out = proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert code == 0
+        assert "shutdown complete" in out
+
     def test_shutdown_completes_admitted_request(self):
         """A request in flight when shutdown starts still gets its
         response before the connection is torn down."""
