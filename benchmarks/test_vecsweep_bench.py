@@ -1,11 +1,12 @@
 """Processes x vec composition benchmark: the sweep's pool path.
 
-With every decline path closed, the vectorized backend prices all 309
-sweep cells with column kernels, and ``--jobs N`` partitions *whole
-kernel groups* (benchmark x pipeline-shape pairs) across the worker
-pool while the parent pre-warms a shared on-disk trace cache -- so
-each worker runs column passes on its slice of the grid instead of
-re-recording traces or pricing cells one at a time.
+The vectorized backend prices the sweep's wide passes with column
+kernels and routes its narrow ones (under the measured lane
+crossover) to the scalar stream kernel.  ``--jobs N`` partitions
+*whole kernel groups* (benchmark x pipeline-shape pairs) across the
+worker pool while the parent pre-warms a shared on-disk trace cache
+-- so each worker prices its slice of the grid without re-recording
+traces, and every cell takes the same route as at ``--jobs 1``.
 
 Two sections land in ``BENCH_vecsweep.json`` (same provenance header
 as every other ``BENCH_*.json``):

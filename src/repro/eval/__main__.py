@@ -16,18 +16,20 @@ Sweep acceleration::
     python -m repro.eval all --no-vec      # force scalar replay
 
 The vectorized backend (``--vec``, default-on when NumPy is
-importable) prices the whole sweep grid in columnar trace passes --
-cells from every benchmark that share a pipeline shape batch into one
-kernel invocation.  ``--jobs N`` composes with it: the sweep
+importable) prices the sweep grid in columnar trace passes -- the
+cells of one benchmark that share a pipeline shape make one pass.  A
+pass too narrow to beat per-cell scalar replay is routed to it.
+``--jobs N`` composes with it: the sweep
 partitions whole kernel groups (not benchmarks) across the worker
 processes and shares each benchmark's recorded trace through the
 trace cache, so every worker runs column kernels on its slice of the
 grid rather than pricing cells one at a time.  On a multi-core host
 prefer ``--jobs auto`` (one worker per CPU) together with the default
 ``--vec``; on a single CPU ``--jobs 1`` already gets the full
-columnar speedup.  ``--stats`` / ``--stats-json`` include a decline
-histogram -- on the default grid it is empty, so any entry means some
-cells silently fell back to scalar replay.
+columnar speedup.  ``--stats`` / ``--stats-json`` include the routed
+cell count and a decline histogram -- on the default grid the
+histogram is empty, so any entry means some cells the kernels should
+price fell back to scalar replay.
 """
 
 import argparse

@@ -60,12 +60,12 @@ class Workbench:
       (LRU-pruned after each store, mtime order); ``None`` = unbounded.
     * ``vec`` -- default ``None``: price sweep cells with the
       vectorized replay backend (:mod:`repro.sim.vecreplay`) whenever
-      NumPy is importable, falling back to scalar replay per cell
-      where the column kernels cannot serve.  ``False`` forces the
-      scalar path everywhere (the PR 4 behaviour); ``True`` requires
-      NumPy.  Either way every result is identical -- the backends are
-      cycle-exact against each other -- so memo and cache keys do not
-      depend on this switch.
+      NumPy is importable.  Passes too narrow for the column kernels
+      to pay are routed to scalar replay per cell, as are cells the
+      kernels cannot serve.  ``False`` forces the scalar path
+      everywhere; ``True`` requires NumPy.  Either way every result is
+      identical -- the backends are cycle-exact against each other --
+      so memo and cache keys do not depend on this switch.
     """
 
     def __init__(self, scale=1.0, max_instructions=5_000_000, cache=None,
@@ -211,16 +211,16 @@ class Workbench:
 
     def _prefetch_vec(self, cells):
         """Price *cells* through the column kernels; returns the cells
-        they could not serve (to run scalar).
+        left for the scalar engines.
 
         The whole set goes through :func:`vecreplay.price_grid` in one
-        invocation, so cells from different benchmarks that share a
-        pipeline shape batch into one kernel pass.  ``min_group=1``:
-        the sweep's contract is that replay+vec means vec-priced, for
-        any ``--jobs`` value -- the histogram then only ever reports
-        genuinely unsupported shapes, never a size gate (which would
-        also fire differently serial vs partitioned).  Declines land
-        in the stats histogram.
+        invocation, which prices each (pipeline shape, benchmark) pass
+        on the kernels or, when the pass is narrower than the kernel's
+        measured lane crossover, routes its cells back to run on the
+        scalar stream kernel.  A pass is never split, so a cell takes
+        the same route at any ``--jobs`` value.  Routes are counted in
+        ``stats.vec_routed``; cells the kernels cannot serve land in
+        the ``stats.vec_declines`` histogram.
         """
         needs_image = {c[0] for c in cells if c[2] is not None}
         benches = {}
@@ -228,11 +228,13 @@ class Workbench:
             benches[bench] = (
                 self.program(bench), self.static(bench), self.trace(bench),
                 self.image(bench) if bench in needs_image else None)
+        routes = {}
         with timed_phase(self.stats, "simulate"):
             priced = vecreplay.price_grid(
                 benches, list(cells),
-                max_instructions=self.max_instructions, min_group=1,
-                declines=self.stats.vec_declines)
+                max_instructions=self.max_instructions,
+                declines=self.stats.vec_declines, routes=routes)
+        self.stats.vec_routed += sum(routes.values())
         leftover = []
         for pos, cell in enumerate(cells):
             result = priced.get(pos)

@@ -316,6 +316,7 @@ class SweepStats:
     cache_misses: int = 0
     sim_runs: int = 0  # simulations run serially in-process
     vec_cells: int = 0  # cells priced by the vectorized replay backend
+    vec_routed: int = 0  # cells of narrow passes routed to scalar replay
     parallel_cells: int = 0  # simulations run by pool workers
     parallel_batches: int = 0
     trace_pruned_files: int = 0  # trace-cache LRU evictions
@@ -344,6 +345,7 @@ class SweepStats:
             "cache_misses": self.cache_misses,
             "sim_runs": self.sim_runs,
             "vec_cells": self.vec_cells,
+            "vec_routed": self.vec_routed,
             "parallel_cells": self.parallel_cells,
             "parallel_batches": self.parallel_batches,
             "trace_pruned_files": self.trace_pruned_files,
@@ -370,6 +372,10 @@ class SweepStats:
             lines.append("trace cache: pruned %d files (%d bytes)"
                          % (self.trace_pruned_files,
                             self.trace_pruned_bytes))
+        if self.vec_routed:
+            lines.append("vec routed: %d cells of passes under the lane "
+                         "crossover, priced by scalar replay"
+                         % self.vec_routed)
         if self.vec_declines:
             parts = ["%s (%d)" % (reason, count) for reason, count
                      in sorted(self.vec_declines.items())]
@@ -456,7 +462,9 @@ def partition_cells_vec(cells, jobs):
     The vectorized backend prices one (benchmark, pipeline-shape)
     group per kernel pass, so that pair is the unit of parallel work:
     splitting a pair across workers would run the same trace pass
-    twice for half the columns each.  Pairs are packed whole into the
+    twice for half the columns each, and could route a cell that a
+    whole pass would price on the kernels (``price_grid`` routes by
+    the width of the pass).  Pairs are packed whole into the
     lightest batch, largest pair first; ties keep first-seen order, so
     the partition depends only on the input order and *jobs*.
     """
@@ -490,9 +498,11 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
     Programs, predecoded text and compressed images are rebuilt in the
     worker (compiled closures and block tables do not pickle, and
     shipping them would cost more than rebuilding); results travel
-    back as ``{"results": [(dict, backend), ...], "declines": {...}}``,
-    *backend* being ``"vec"`` or ``"scalar"`` and *declines* the vec
-    backend's reason histogram for the batch.
+    back as ``{"results": [(dict, backend), ...], "declines": {...},
+    "routed": n}``, *backend* being ``"vec"`` or ``"scalar"``,
+    *declines* the vec backend's reason histogram for the batch and
+    *routed* how many of its cells the vec backend routed to scalar
+    replay.
 
     With ``replay`` on, each benchmark's functional trace is recorded
     (or loaded from the :class:`~repro.sim.replay.TraceCache` under
@@ -501,7 +511,7 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
     over it -- identical results, a fraction of the work.  With ``vec``
     on (default: on when NumPy is importable), the whole batch prices
     through :func:`repro.sim.vecreplay.price_grid` in one invocation;
-    whatever it declines falls back to scalar replay.
+    whatever it routes or declines runs on scalar replay.
     """
     trace_cache = None
     if replay and trace_dir is not None:
@@ -534,21 +544,17 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
 
     vec_results = {}
     declines = {}
+    routes = {}
     if replay and (vec or vec is None):
         from repro.sim import vecreplay
         if vecreplay.available():
             benches = {bench: (programs[bench], statics[bench],
                                trace_for(bench), images.get(bench))
                        for bench in programs}
-            # min_group=1: the batch was partitioned at kernel-group
-            # granularity (partition_cells_vec), so a worker's slice
-            # of a grid-wide group may be small -- second-guessing it
-            # with the global gate would re-introduce exactly the
-            # scalar fallback the partitioning exists to avoid.
             vec_results = vecreplay.price_grid(
                 benches, [(b, a, cp) for b, a, cp in cells],
-                max_instructions=max_instructions, min_group=1,
-                declines=declines)
+                max_instructions=max_instructions, declines=declines,
+                routes=routes)
 
     out = []
     for pos, (bench, arch, codepack) in enumerate(cells):
@@ -562,7 +568,8 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
                           replay=trace_for(bench) if replay else None,
                           vec=vec)
         out.append((result.to_dict(), "scalar"))
-    return {"results": out, "declines": declines}
+    return {"results": out, "declines": declines,
+            "routed": sum(routes.values())}
 
 
 def run_batches(cells, scale, max_instructions, jobs, stats=None,
@@ -593,9 +600,10 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
                                              results[cell].mode), backend)
         return backend
 
-    def note_declines(declines):
-        if stats is not None and declines:
-            stats.note_declines(declines)
+    def note_unpriced(payload):
+        if stats is not None:
+            stats.note_declines(payload["declines"])
+            stats.vec_routed += payload["routed"]
 
     use_vec_partition = False
     if replay and (vec or vec is None):
@@ -608,7 +616,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
         for batch in partition_cells(cells, 1):
             payload = _run_batch(scale, max_instructions, batch,
                                  replay=replay, trace_dir=trace_dir, vec=vec)
-            note_declines(payload["declines"])
+            note_unpriced(payload)
             for cell, entry in zip(batch, payload["results"]):
                 if record(cell, entry) == "scalar":
                     scalar += 1
@@ -629,7 +637,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
         for future in as_completed(futures):
             batch = futures[future]
             payload = future.result()
-            note_declines(payload["declines"])
+            note_unpriced(payload)
             for cell, entry in zip(batch, payload["results"]):
                 record(cell, entry)
     return results

@@ -262,15 +262,21 @@ class Explorer:
     def ratio_for(self, bench):
         """Compression ratio of *bench* at this run's scale (memoised).
 
-        Cheap relative to pricing (one compression per benchmark per
-        run) and identical on every backend, keeping objectives
-        backend-independent.
+        Identical on every backend, keeping objectives
+        backend-independent.  A backend with a Workbench (``wb``) has
+        already compressed the benchmark to price it, so the ratio is
+        read off that image; otherwise the benchmark is built and
+        compressed once per run here.
         """
         if bench not in self._ratio_memo:
-            from repro.codepack.compressor import compress_program
-            from repro.workloads.suite import build_benchmark
+            wb = getattr(self.backend, "wb", None)
+            if wb is not None:
+                image = wb.image(bench)
+            else:
+                from repro.codepack.compressor import compress_program
+                from repro.workloads.suite import build_benchmark
 
-            image = compress_program(build_benchmark(bench, self.scale))
+                image = compress_program(build_benchmark(bench, self.scale))
             self._ratio_memo[bench] = image.compression_ratio
         return self._ratio_memo[bench]
 

@@ -31,12 +31,14 @@ traversal over structure-of-arrays NumPy columns:
   one cheap per-class event walk yields those outcomes (and the exact
   :class:`~repro.sim.codepack_engine.EngineStats`) for every cell of
   the class.
-* :func:`price_grid` batches *across traces*: cells from every
-  benchmark group globally by pipeline shape, so the whole sweep grid
-  prices in one invocation and small per-benchmark families never
-  fall under the ``min_group`` gate.  Whatever a kernel cannot serve
-  is recorded in a caller-supplied decline histogram rather than
-  silently skipped -- an empty histogram is the all-vec-priced claim.
+* :func:`price_grid` takes the whole sweep grid in one invocation and
+  routes each *pass* -- one (pipeline shape, benchmark) pair -- by its
+  width: a pass narrower than its kernel's measured lane crossover
+  (:data:`MIN_LANES_OOO`, :data:`MIN_LANES_INORDER`) comes back
+  unpriced and counted as a route, because the scalar stream kernel
+  prices its few cells faster one by one.  Whatever a kernel cannot
+  serve is recorded in a caller-supplied decline histogram rather
+  than silently skipped; a route is never a decline.
 
 Everything here is an accelerator, not a model: the scalar
 ``replay_inorder``/``replay_ooo`` engines remain the oracle, and the
@@ -1748,29 +1750,47 @@ def _price_group(program, group_cells, static, trace, image,
     return results
 
 
+#: Fewest lanes (cells) a full-trace kernel pass must carry to beat
+#: pricing each of its cells on the scalar stream kernel
+#: (``_replay_ooo_stream`` / ``_replay_inorder_stream`` in
+#: :mod:`repro.sim.replay`).  A lockstep pass pays a fixed cost per
+#: simulated instruction however few lanes it has, so below these
+#: widths it loses; they are the crossovers measured in DESIGN.md §7e.
+MIN_LANES_OOO = 12
+MIN_LANES_INORDER = 7
+
+
 def price_grid(benches, cells, *, max_instructions,
                critical_word_first=True, native_prefetch=False,
-               min_group=6, declines=None):
+               min_lanes=None, declines=None, routes=None):
     """Price sweep cells spanning many benchmarks in shared passes.
 
     ``benches`` maps a benchmark key to its ``(program, static, trace,
     image)`` tuple; ``cells`` is a sequence of ``(bench_key, arch,
     codepack)`` triples (``codepack`` ``None`` for native).  Cells are
     grouped by pipeline shape (issue/fetch widths, RUU, FU pools,
-    penalty, predictor, D-cache, bus sharing) *across benchmarks*, so
-    ``min_group`` is judged against the whole grid's group: a shape
-    that appears only a few times per benchmark still prices
-    vectorized when the grid spans enough benchmarks.  Each group then
-    runs one lockstep kernel pass per trace, and every priced cell's
+    penalty, predictor, D-cache, bus sharing); each (shape, benchmark)
+    pair is one *pass*: one lockstep kernel traversal of that trace
+    with a lane per cell.  Every priced cell's
     :class:`~repro.sim.results.SimResult` is exactly what
     :func:`repro.sim.machine.simulate` returns for it -- including
     shared-bus cells and truncating ``max_instructions`` caps.
 
-    Returns ``{cell_index: SimResult}`` for the cells the vector
-    backend could serve; callers run the rest through the scalar
-    engines.  When *declines* (a ``Counter``-like mapping) is given,
-    every unserved cell is counted there under its decline reason, so
-    a silent regression to scalar pricing shows up in sweep stats.
+    A full-trace pass with fewer lanes than ``min_lanes`` is *routed*:
+    its cells come back unpriced, because the scalar stream kernel
+    prices them faster one by one.  ``min_lanes`` defaults to the
+    measured crossover of the pass's kernel (:data:`MIN_LANES_OOO`,
+    :data:`MIN_LANES_INORDER`); ``1`` forces the kernel at every
+    width.  A truncating pass is never routed: the scalar engines have
+    no stream kernel for a cap inside the trace.
+
+    Returns ``{cell_index: SimResult}`` for the cells priced here;
+    callers run the rest through the scalar engines.  When *routes*
+    (a ``Counter``-like mapping) is given, routed cells are counted
+    there per kernel (``"ooo"``, ``"inorder"``).  When *declines* is
+    given, every cell the kernels could not serve is counted there
+    under its reason, so a silent regression to scalar pricing shows
+    up in sweep stats; a route is never a decline.
     """
     out = {}
 
@@ -1781,58 +1801,59 @@ def price_grid(benches, cells, *, max_instructions,
     if np is None:
         decline(len(list(cells)), "numpy unavailable")
         return out
-    groups = {}
+    passes = {}
     for pos, (bench, arch, codepack) in enumerate(cells):
-        groups.setdefault(_group_key(arch), []).append(
-            (pos, bench, arch, codepack))
-    for group_cells in groups.values():
-        if len(group_cells) < min_group:
-            decline(len(group_cells), "group below min_group")
+        passes.setdefault((_group_key(arch), bench), []).append(
+            (pos, arch, codepack))
+    for (_shape, bench), bcells in passes.items():
+        program, static, trace, image = benches[bench]
+        if trace is None or trace.n == 0:
+            decline(len(bcells), "no trace")
             continue
-        by_bench = {}
-        for pos, bench, arch, codepack in group_cells:
-            by_bench.setdefault(bench, []).append((pos, arch, codepack))
-        for bench, bcells in by_bench.items():
-            program, static, trace, image = benches[bench]
-            if trace is None or trace.n == 0:
-                decline(len(bcells), "no trace")
-                continue
-            if not trace.covers(max_instructions):
-                decline(len(bcells), "trace does not cover the cap")
-                continue
-            if trace.fault is not None and max_instructions > trace.n:
-                # the scalar path raises; keep that behaviour there
-                decline(len(bcells), "trace fault within the cap")
-                continue
-            limit = min(trace.n, max_instructions)
-            if limit <= 0:
-                decline(len(bcells), "empty replay window")
-                continue
-            halted = trace.halted and limit == trace.n
-            output = trace.output_upto(limit)
-            exit_code = trace.exit_code if halted else 0
-            truncated = not halted and limit >= max_instructions
-            try:
-                out.update(_price_group(
-                    program, bcells, static, trace, image,
-                    critical_word_first, native_prefetch, limit,
-                    halted, output, exit_code, truncated))
-            except _VecUnsupported as exc:
-                decline(len(bcells), str(exc))
+        if not trace.covers(max_instructions):
+            decline(len(bcells), "trace does not cover the cap")
+            continue
+        if trace.fault is not None and max_instructions > trace.n:
+            # the scalar path raises; keep that behaviour there
+            decline(len(bcells), "trace fault within the cap")
+            continue
+        limit = min(trace.n, max_instructions)
+        if limit <= 0:
+            decline(len(bcells), "empty replay window")
+            continue
+        in_order = bcells[0][1].in_order
+        floor = min_lanes or (MIN_LANES_INORDER if in_order
+                              else MIN_LANES_OOO)
+        if len(bcells) < floor and limit == trace.n:
+            if routes is not None:
+                kernel = "inorder" if in_order else "ooo"
+                routes[kernel] = routes.get(kernel, 0) + len(bcells)
+            continue
+        halted = trace.halted and limit == trace.n
+        output = trace.output_upto(limit)
+        exit_code = trace.exit_code if halted else 0
+        truncated = not halted and limit >= max_instructions
+        try:
+            out.update(_price_group(
+                program, bcells, static, trace, image,
+                critical_word_first, native_prefetch, limit,
+                halted, output, exit_code, truncated))
+        except _VecUnsupported as exc:
+            decline(len(bcells), str(exc))
     return out
 
 
 def price_cells(program, cells, *, static, trace, image=None,
                 max_instructions, critical_word_first=True,
-                native_prefetch=False, min_group=6, declines=None):
+                native_prefetch=False, min_lanes=None, declines=None,
+                routes=None):
     """Price many sweep cells of one benchmark in shared trace passes.
 
     Single-benchmark wrapper over :func:`price_grid`: ``cells`` is a
     sequence of ``(arch, codepack)`` pairs and the returned mapping is
-    keyed by each cell's index in it.  ``min_group`` is judged against
-    this one benchmark's groups -- multi-benchmark sweeps should call
-    :func:`price_grid` directly so small per-benchmark groups batch
-    across traces instead of declining.
+    keyed by each cell's index in it.  Passes narrower than
+    ``min_lanes`` are routed exactly as there; pass ``min_lanes=1`` to
+    price every cell on the kernels.
     """
     key = program.name if program is not None else "bench"
     benches = {key: (program, static, trace, image)}
@@ -1840,4 +1861,5 @@ def price_cells(program, cells, *, static, trace, image=None,
     return price_grid(benches, grid, max_instructions=max_instructions,
                       critical_word_first=critical_word_first,
                       native_prefetch=native_prefetch,
-                      min_group=min_group, declines=declines)
+                      min_lanes=min_lanes, declines=declines,
+                      routes=routes)

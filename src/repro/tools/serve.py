@@ -90,8 +90,9 @@ def _add_server_options(parser):
 def _trap_sigterm():
     """Treat SIGTERM (systemd/docker stop) like ^C: drain, then exit.
 
-    Without this the default disposition kills the process mid-request
-    -- and a fleet parent would die without stopping its workers.
+    Without this the default disposition kills the process
+    mid-request.  The fleet parent uses a flag instead (see
+    :func:`_cmd_serve_fleet`).
     """
     def _raise(signum, frame):
         raise KeyboardInterrupt
@@ -102,9 +103,9 @@ def _trap_sigterm():
 
 
 def _cmd_serve(args):
-    _trap_sigterm()
     if args.fleet and args.fleet > 1:
         return _cmd_serve_fleet(args)
+    _trap_sigterm()
     config = _server_config(args)
 
     async def main():
@@ -142,6 +143,16 @@ def _cmd_serve(args):
 def _cmd_serve_fleet(args):
     from repro.serve.fleet import Fleet
 
+    # SIGTERM only sets a flag that the poll loop reads.  An exception
+    # raised from the handler (the single-process _trap_sigterm) is
+    # dropped when it lands in a finalizer, and the fleet would serve
+    # on; a flag cannot be lost.
+    terminated = []
+    try:
+        signal.signal(signal.SIGTERM,
+                      lambda signum, frame: terminated.append(signum))
+    except ValueError:
+        pass  # not the main thread (embedded use); keep the default
     fleet = Fleet(n_workers=args.fleet, host=args.host,
                   **_server_kwargs(args))
     fleet.start()
@@ -152,8 +163,11 @@ def _cmd_serve_fleet(args):
               % (args.snapshot_interval, args.snapshot_dir))
     sys.stdout.flush()
     try:
-        while all(fleet.alive()):
+        while not terminated and all(fleet.alive()):
             time.sleep(0.5)
+        if terminated:
+            print("draining fleet...")
+            return 0
         down = [shard for shard, alive in enumerate(fleet.alive())
                 if not alive]
         print("worker(s) %s exited; stopping fleet" % down,

@@ -359,8 +359,8 @@ class TestParallelPrefetch:
     def test_prefetch_serial_path(self):
         wb = Workbench(scale=self.SCALE)  # jobs=1
         assert wb.prefetch(self.CELLS[:2]) == 2
-        # Vec-priced when NumPy is importable (min_group never gates
-        # the sweep), scalar simulation runs otherwise.
+        # One narrow in-order pass: routed to scalar replay when NumPy
+        # is importable, scalar simulation runs otherwise.
         assert wb.stats.sim_runs + wb.stats.vec_cells == 2
         assert wb.prefetch(self.CELLS[:2]) == 0
 
@@ -371,17 +371,20 @@ class TestParallelPrefetch:
             bench, arch, cp = cell
             assert result == wb.run(bench, arch, cp)
 
-    def test_run_batches_small_batch_vec_prices(self):
-        # The sweep passes min_group=1: even a two-cell batch prices
-        # through the column kernels with an empty decline histogram,
-        # so serial and partitioned runs report the same backend.
+    def test_run_batches_small_batch_routes(self):
+        # A two-cell batch is one two-lane pass, under the kernels'
+        # crossover: it is routed to scalar replay and counted as a
+        # route, with an empty decline histogram.
         pytest.importorskip("numpy")
         stats = sweep.SweepStats()
         results = run_batches(self.CELLS[:2], self.SCALE, 5_000_000,
                               jobs=1, stats=stats, replay=True)
         assert len(results) == 2
         assert stats.vec_declines == {}
-        assert stats.vec_cells == 2
+        assert stats.vec_routed == 2
+        assert stats.vec_cells == 0
+        assert stats.as_dict()["vec_routed"] == 2
+        assert "vec routed: 2 cells" in stats.summary()
 
     def test_run_batches_counts_declines(self, monkeypatch):
         pytest.importorskip("numpy")
@@ -405,6 +408,35 @@ class TestParallelPrefetch:
         assert stats.vec_declines == {"synthetic reason": 2}
         assert stats.as_dict()["vec_declines"] == stats.vec_declines
         assert "vec declines" in stats.summary()
+
+
+class TestVecRoutes:
+    """The paper grid: every cell is vec-priced or routed, never
+    declined, and the routes do not depend on ``--jobs``."""
+
+    SCALE = 0.02
+    BENCHMARKS = ["cc1", "pegwit"]
+
+    def test_routes_and_results_identical_across_jobs(self):
+        pytest.importorskip("numpy")
+        from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
+
+        wbs = {}
+        for jobs in (1, 2):
+            wb = Workbench(scale=self.SCALE, jobs=jobs)
+            cells = list(sweep_cells(list(ALL_EXPERIMENTS), wb=wb,
+                                     benchmarks=self.BENCHMARKS))
+            assert wb.prefetch(cells) == len(cells)
+            assert wb.stats.vec_declines == {}
+            assert wb.stats.vec_cells + wb.stats.vec_routed == len(cells)
+            wbs[jobs] = wb
+        serial, pooled = wbs[1].stats, wbs[2].stats
+        assert serial.vec_routed == pooled.vec_routed > 0
+        assert serial.vec_cells == pooled.vec_cells > 0
+        assert serial.backends == pooled.backends
+        assert wbs[1]._results.keys() == wbs[2]._results.keys()
+        for key, result in wbs[1]._results.items():
+            assert wbs[2]._results[key].to_dict() == result.to_dict()
 
 
 class TestCacheDirEnvOverride:

@@ -77,6 +77,43 @@ class TestObjectives:
         assert decoder_cost(with_buf) > decoder_cost(without)
 
 
+class TestRatioObjective:
+    def test_local_backend_compresses_each_benchmark_once(
+            self, monkeypatch):
+        """The ratio objective reads the image the backend's Workbench
+        priced with instead of rebuilding and recompressing."""
+        import repro.codepack.compressor as compressor
+        import repro.eval.runner as runner
+        import repro.workloads.suite as suite
+
+        build, compress = suite.build_benchmark, compressor.compress_program
+        builds, compressions = [], []
+
+        def counting_build(name, scale):
+            builds.append(name)
+            return build(name, scale)
+
+        def counting_compress(program, *args, **kwargs):
+            compressions.append(program.name)
+            return compress(program, *args, **kwargs)
+
+        for owner in (suite, runner):
+            monkeypatch.setattr(owner, "build_benchmark", counting_build)
+        for owner in (compressor, runner):
+            monkeypatch.setattr(owner, "compress_program",
+                                counting_compress)
+        space = default_space(["pegwit", "mpeg2enc"])
+        explorer = Explorer(space, backend(), budget=12, seed=7, batch=6)
+        explorer.run()
+        benches = sorted(explorer._ratio_memo)
+        assert benches == ["mpeg2enc", "pegwit"]
+        assert sorted(builds) == benches
+        assert sorted(compressions) == benches
+        for bench in benches:
+            rebuilt = compress(build(bench, SCALE)).compression_ratio
+            assert explorer.ratio_for(bench) == rebuilt
+
+
 class TestValidation:
     def test_bad_knobs_rejected(self):
         be = backend()

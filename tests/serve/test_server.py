@@ -642,6 +642,50 @@ sys.exit(serve.main(["serve", "--port", "0"]))
 """
 
 
+#: ``repro.tools.serve serve --fleet 2`` whose parent prints its worker
+#: pids, then runs a finalizer that spins for a second inside its poll
+#: loop, announcing itself first.  Spawned workers re-import this file,
+#: so only the parent runs the command.
+SLOW_FINALIZER_FLEET = """
+import sys, time
+from repro.serve.fleet import Fleet
+from repro.tools import serve
+
+class SlowFinalizer:
+    def __del__(self):
+        print("finalizing", flush=True)
+        end = time.monotonic() + 1.0
+        while time.monotonic() < end:
+            pass
+
+started, alive, polls = Fleet.start, Fleet.alive, []
+
+def start(self):
+    started(self)
+    print("workers", *[p.pid for p in self._processes.values()],
+          flush=True)
+    return self
+
+def poll(self):
+    polls.append(None)
+    if len(polls) == 2:
+        SlowFinalizer()  # unreferenced: its __del__ runs right here
+    return alive(self)
+
+Fleet.start, Fleet.alive = start, poll
+if __name__ == "__main__":
+    sys.exit(serve.main(["serve", "--fleet", "2"]))
+"""
+
+
+def _pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestGracefulShutdown:
     def test_sigterm_during_a_finalizer_drains_the_serve_command(
             self, tmp_path):
@@ -667,6 +711,40 @@ class TestGracefulShutdown:
             proc.stdout.close()
         assert code == 0
         assert "shutdown complete" in out
+
+    def test_sigterm_during_a_finalizer_drains_the_fleet_command(
+            self, tmp_path):
+        """The fleet parent's SIGTERM sets a flag its poll loop reads,
+        so a finalizer running when the signal lands cannot drop it:
+        the fleet drains, exits 0 and leaves no worker behind."""
+        script = tmp_path / "fleet_slow_finalizer.py"
+        script.write_text(SLOW_FINALIZER_FLEET)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, str(script)],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        workers = []
+        try:
+            first = proc.stdout.readline().split()
+            assert first[0] == "workers"
+            workers = [int(pid) for pid in first[1:]]
+            assert "fleet of 2 workers" in proc.stdout.readline()
+            assert proc.stdout.readline().strip() == "finalizing"
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=30.0)
+            out = proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            orphans = [pid for pid in workers if _pid_exists(pid)]
+            for pid in orphans:
+                os.kill(pid, signal.SIGKILL)
+        assert code == 0
+        assert "draining fleet..." in out
+        assert len(workers) == 2
+        assert orphans == []
 
     def test_shutdown_completes_admitted_request(self):
         """A request in flight when shutdown starts still gets its

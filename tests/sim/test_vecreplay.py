@@ -67,7 +67,7 @@ def grid_cells():
 def price(suite, bench, bcells, **kwargs):
     program, static, image, trace = suite[bench]
     kwargs.setdefault("max_instructions", 5_000_000)
-    kwargs.setdefault("min_group", 1)
+    kwargs.setdefault("min_lanes", 1)  # the kernel, at every width
     return vecreplay.price_cells(program, bcells, static=static,
                                  trace=trace, image=image, **kwargs)
 
@@ -81,8 +81,9 @@ class TestGridExactness:
         program, static, image, trace = suite[bench]
         bcells = grid_cells[bench]
         priced = price(suite, bench, bcells)
-        # At min_group=1 every shape in the paper's grid is served --
-        # 1/4/8-issue, native and every CodePack/index-cache variant.
+        # Forced at every width, the kernels serve every shape in the
+        # paper's grid -- 1/4/8-issue, native and every CodePack/
+        # index-cache variant.
         assert sorted(priced) == list(range(len(bcells)))
         for pos, (arch, codepack) in enumerate(bcells):
             ref = simulate(program, arch, codepack=codepack,
@@ -151,14 +152,15 @@ class TestAblationKnobs:
             assert got["instructions"] == cap
             assert got == ref.to_dict(), (arch.name, codepack, cap)
 
-    def test_min_group_gate(self, suite):
-        # Below min_group the group is declined, not mispriced -- and
-        # the decline is counted, not silent.
-        declines = {}
-        priced = price(suite, "cc1", self.CELLS[:1], min_group=2,
-                       declines=declines)
+    def test_narrow_pass_is_routed(self, suite):
+        # A pass with fewer lanes than min_lanes comes back unpriced
+        # and is counted as a route for its kernel, never as a decline.
+        declines, routes = {}, {}
+        priced = price(suite, "cc1", self.CELLS, min_lanes=4,
+                       declines=declines, routes=routes)
         assert priced == {}
-        assert declines == {"group below min_group": 1}
+        assert routes == {"ooo": 3}
+        assert declines == {}
 
 
 class TestSharedBus:
@@ -216,24 +218,25 @@ class TestCrossTraceGrid:
                 for name, (program, static, image, trace)
                 in suite.items()}
 
-    def test_small_groups_batch_across_traces(self, suite):
-        # Three cells per benchmark of one shape: below min_group=6
-        # per benchmark, but the *global* group spans both traces, so
-        # price_grid dissolves the decline that price_cells reports.
+    def test_narrow_passes_route_per_trace(self, suite):
+        # Three cells per benchmark of one shape: the shape has six
+        # cells across both traces, but a pass is one trace's share,
+        # so at min_lanes=4 both three-lane passes route.  Forced to
+        # the kernel, the same grid prices in one invocation.
         cells3 = [(ARCH_8_ISSUE, None), (ARCH_8_ISSUE, CP_BASELINE),
                   (ARCH_8_ISSUE, CP_OPTIMIZED)]
-        declines = {}
-        per_bench = price(suite, "cc1", cells3, min_group=6,
-                          declines=declines)
-        assert per_bench == {}
-        assert declines == {"group below min_group": 3}
-
         grid = [(bench, arch, cp) for bench in ("cc1", "pegwit")
                 for arch, cp in cells3]
-        declines = {}
+        declines, routes = {}, {}
+        assert vecreplay.price_grid(
+            self._benches(suite), grid, max_instructions=5_000_000,
+            min_lanes=4, declines=declines, routes=routes) == {}
+        assert routes == {"ooo": 6}
+        assert declines == {}
+
         priced = vecreplay.price_grid(
             self._benches(suite), grid, max_instructions=5_000_000,
-            min_group=6, declines=declines)
+            min_lanes=1, declines=declines)
         assert declines == {}
         assert sorted(priced) == list(range(len(grid)))
         for pos, (bench, arch, codepack) in enumerate(grid):
@@ -245,26 +248,64 @@ class TestCrossTraceGrid:
 
     def test_full_grid_zero_declines(self, suite, grid_cells):
         # The whole sweep grid -- every experiment's cells for both
-        # benchmarks -- prices in one invocation with an empty decline
-        # histogram at the default min_group.
+        # benchmarks -- prices on the kernels in one invocation with an
+        # empty decline histogram when forced at every width.
         grid = [(bench, arch, cp) for bench, bcells in grid_cells.items()
                 for arch, cp in bcells]
         declines = {}
         priced = vecreplay.price_grid(
             self._benches(suite), grid, max_instructions=5_000_000,
-            declines=declines)
+            min_lanes=1, declines=declines)
         assert declines == {}
         assert sorted(priced) == list(range(len(grid)))
 
+    def test_full_grid_default_lanes_zero_declines(self, suite,
+                                                   grid_cells):
+        # At the measured crossovers the grid's wide 4-issue passes
+        # price on the kernels and its three-lane 8-issue and in-order
+        # passes route: every cell is priced or routed, none declined.
+        grid = [(bench, arch, cp) for bench, bcells in grid_cells.items()
+                for arch, cp in bcells]
+        declines, routes = {}, {}
+        priced = vecreplay.price_grid(
+            self._benches(suite), grid, max_instructions=5_000_000,
+            declines=declines, routes=routes)
+        assert declines == {}
+        assert routes == {"ooo": 6, "inorder": 6}
+        assert len(priced) + sum(routes.values()) == len(grid)
+        assert all(grid[pos][1].issue_width == 4 for pos in priced)
+
     def test_decline_reasons_are_counted(self, suite):
+        # A cell the kernels cannot serve is declined under its reason,
+        # ahead of any route; a narrow pass they can serve is routed.
         benches = self._benches(suite)
-        grid = [("cc1", ARCH_4_ISSUE, None)]
-        declines = {}
+        program, static, image, _trace = suite["cc1"]
+        benches["untraced"] = (program, static, None, image)
+        grid = [("untraced", ARCH_4_ISSUE, None), ("cc1", ARCH_4_ISSUE, None)]
+        declines, routes = {}, {}
         out = vecreplay.price_grid(benches, grid,
                                    max_instructions=5_000_000,
-                                   min_group=99, declines=declines)
+                                   declines=declines, routes=routes)
         assert out == {}
-        assert declines == {"group below min_group": 1}
+        assert declines == {"no trace": 1}
+        assert routes == {"ooo": 1}
+
+    def test_routed_pass_prices_like_the_kernel(self, suite):
+        # Routed cells are priced by simulate() on the stream kernels;
+        # field for field, that is what the forced kernel returns.
+        program, static, image, trace = suite["pegwit"]
+        cells = [(ARCH_1_ISSUE, None), (ARCH_1_ISSUE, CP_OPTIMIZED),
+                 (ARCH_8_ISSUE, CP_BASELINE)]
+        routes = {}
+        assert price(suite, "pegwit", cells, min_lanes=None,
+                     routes=routes) == {}
+        assert routes == {"inorder": 2, "ooo": 1}
+        forced = price(suite, "pegwit", cells)
+        for pos, (arch, codepack) in enumerate(cells):
+            routed = simulate(program, arch, codepack=codepack,
+                              image=image if codepack else None,
+                              static=static, replay=trace)
+            assert routed.to_dict() == forced[pos].to_dict()
 
 
 class TestWorkbenchIntegration:
