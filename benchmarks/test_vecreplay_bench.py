@@ -51,13 +51,12 @@ VEC_SPEEDUP_FLOOR = 1.35
 SWEEP_SCALE = 0.1
 REPS = 3
 
-#: Per-trace memo slots that belong to the timed region: profiles and
-#: replay kernels are computed differently by the two paths, and the
-#: column/dependency caches are the vec backend's own cost.  The flat
-#: dynamic op list (``_dyn``) stays warm -- it is PR 4 functional
-#: infrastructure shared verbatim by both.
-_TIMED_MEMOS = ("_kernel", "_profiles", "_columns", "_vdeps", "_vkinds",
-                "_vec_dallmiss")
+#: Per-trace memo slots that belong to the timed region: profiles are
+#: computed differently by the two paths, and the column/dependency
+#: caches are the vec backend's own cost.  The flat dynamic op list
+#: (``_dyn``) stays warm -- it is PR 4 functional infrastructure shared
+#: verbatim by both.
+_TIMED_MEMOS = ("_profiles", "_columns", "_vdeps", "_vkinds")
 
 
 def _floor():

@@ -29,8 +29,7 @@ from repro.sim.replay import (
     TraceError,
     program_digest,
     record_trace,
-    replay_inorder,
-    replay_ooo,
+    replay_trace,
 )
 from repro.sim.results import SimResult
 
@@ -97,7 +96,6 @@ def simulate(program, arch, codepack=None, image=None, static=None,
     """
     icache = Cache(arch.icache)
     dcache = Cache(arch.dcache)
-    predictor = make_predictor(arch.predictor)
     channel = MemoryChannel(arch.memory, shared=arch.shared_memory_bus)
 
     engine = None
@@ -122,29 +120,27 @@ def simulate(program, arch, codepack=None, image=None, static=None,
         if static is None:
             static = predecode(program)
         if isinstance(replay, Trace):
-            replay_trace = replay
-            if replay_trace.program_sha != program_digest(program):
+            recorded = replay
+            if recorded.program_sha != program_digest(program):
                 raise TraceError(
                     "trace was recorded for a different program")
         elif trace_cache is not None:
-            replay_trace = trace_cache.get_or_record(
+            recorded = trace_cache.get_or_record(
                 program, static=static, max_instructions=max_instructions)
         else:
-            replay_trace = record_trace(
+            recorded = record_trace(
                 program, static=static, max_instructions=max_instructions)
-        kernel = replay_inorder if arch.in_order else replay_ooo
-        cycles, lookups, mispredicts, consumed = kernel(
-            static, replay_trace, fetch_unit, dcache, channel, predictor,
-            arch, max_instructions, vec=vec)
-        if replay_trace.fault is not None \
-                and max_instructions > replay_trace.n:
+        cycles, lookups, mispredicts, replayed = replay_trace(
+            static, recorded, fetch_unit, dcache, channel, arch,
+            max_instructions, vec=vec)
+        if recorded.fault is not None and max_instructions > recorded.n:
             # The execute-driven run would have attempted the faulting
             # instruction (there was budget left) and raised from it.
-            raise SimulationError(replay_trace.fault)
-        halted = replay_trace.halted and consumed == replay_trace.n
-        instructions = consumed
-        output = replay_trace.output_upto(consumed)
-        exit_code = replay_trace.exit_code if halted else 0
+            raise SimulationError(recorded.fault)
+        halted = replayed.halted
+        instructions = replayed.n
+        output = "".join(replayed.out_text)
+        exit_code = replayed.exit_code
     else:
         core = FunctionalCore(program, static=static, pc_index=pc_index)
         if batched is None:
@@ -157,8 +153,8 @@ def simulate(program, arch, codepack=None, image=None, static=None,
         else:
             pipeline = run_inorder if arch.in_order else run_ooo
         cycles, lookups, mispredicts = pipeline(
-            core, fetch_unit, dcache, channel, predictor, arch,
-            max_instructions)
+            core, fetch_unit, dcache, channel,
+            make_predictor(arch.predictor), arch, max_instructions)
         halted = core.halted
         instructions = core.instret
         output = "".join(core.output)

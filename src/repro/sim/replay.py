@@ -15,25 +15,25 @@ This module exploits that by splitting the simulator's two halves:
   and syscall output events.  Recording executes block-at-a-time over
   the compiled closures of :mod:`repro.sim.blockexec`, so the one
   functional pass is itself fast.
-* :func:`replay_inorder` and :func:`replay_ooo` re-run the **timing
-  only**: each dynamic instruction is processed in O(1) over
-  preallocated arrays (register-ready scoreboard, heap-ordered function
-  units, window/commit ring) without touching registers or memory.  The
-  I-cache and miss path (native or CodePack) are driven by the recorded
-  fetch runs exactly as the execute-driven models drive them, so the
-  replay engines are **cycle-exact** against
+* :func:`replay_trace` re-runs the **timing only**: each dynamic
+  instruction is processed in O(1) over preallocated arrays
+  (register-ready scoreboard, heap-ordered function units,
+  window/commit ring) without touching registers or memory.
+  :class:`TraceProfile` precomputes the cache/predictor outcome
+  streams once per ``(icache, dcache, predictor)`` geometry -- they
+  are identical across every miss-path latency sweeping over the same
+  trace -- and the ``_replay_*_stream`` kernels consume the profile in
+  one tight scan, consulting the miss path (native or CodePack) at
+  exactly the I-misses where the execute-driven models do.  Replay is
+  therefore **cycle-exact** against
   :func:`repro.sim.inorder.run_inorder` and
   :func:`repro.sim.ooo.run_ooo` -- same cycles, same cache, branch and
   engine statistics, verified by the differential suite in
   ``tests/sim/test_replay.py``.
-* Full replays go further: :class:`TraceProfile` precomputes the
-  cache/predictor outcome streams once per ``(icache, dcache,
-  predictor)`` geometry -- they are identical across every miss-path
-  latency sweeping over the same trace -- and the ``_replay_*_stream``
-  kernels consume the profile in one tight scan.  Truncating caps on
-  the OOO model run through per-trace generated kernels
-  (:mod:`repro.sim.replay_codegen`), with the generic loops retained
-  as their differential oracle.
+* A cap inside a trace needs no code of its own: the first ``k``
+  instructions of a trace are the trace :func:`record_trace` records
+  with cap ``k``, so :func:`trace_prefix` cuts it down and the kernels
+  replay that prefix to its end.
 * :func:`save_trace` / :func:`load_trace` persist traces in a
   versioned, checksummed binary format, and :class:`TraceCache` keys
   them by SHA-256 of the program content plus the instruction cap under
@@ -56,6 +56,7 @@ import struct
 import sys
 import tempfile
 from array import array
+from bisect import bisect_left
 from heapq import heapreplace
 
 from repro.sim.blockexec import get_block_table
@@ -77,9 +78,10 @@ from repro.sim.ooo import FRONT_END_LATENCY
 #: Trace format/behaviour version.  Bump whenever the recorded contents
 #: or their binary layout change; persisted traces with another version
 #: are rejected on load and re-recorded.
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 _MAGIC = b"RPRTRACE"
+_DIGEST_BYTES = 32  # trailing SHA-256 of every byte before it
 
 
 class TraceError(ValueError):
@@ -128,23 +130,24 @@ class Trace:
       dynamic order.
     * ``out_pos`` / ``out_text`` -- syscall output events: chunk
       ``out_text[k]`` was emitted by the instruction with dynamic index
-      ``out_pos[k]`` (0-based), so truncated replays can reconstruct
-      the exact output prefix.
+      ``out_pos[k]`` (0-based), so a prefix of the trace keeps exactly
+      the output its instructions emitted.
     * ``fault`` -- the :class:`SimulationError` message when recording
       ended in an architectural fault (``None`` otherwise); the
       faulting instruction is *not* part of the trace.
 
     A trace recorded with cap ``max_instructions`` replays exactly for
-    any cap ``<= n``; for a larger cap it is only valid when the
-    program halted or faulted (``halted`` / ``fault``), i.e. when the
-    stream would not have continued anyway.
+    any cap ``<= n`` (a smaller cap replays :func:`trace_prefix`); for
+    a larger cap it is only valid when the program halted or faulted
+    (``halted`` / ``fault``), i.e. when the stream would not have
+    continued anyway.
     """
 
     __slots__ = ("n", "span_start", "span_len", "takens", "mem_addrs",
                  "out_pos", "out_text", "halted", "exit_code", "fault",
                  "max_instructions", "text_base", "program_sha",
-                 "_kernel", "_profiles", "_dyn", "_columns", "_vdeps",
-                 "_vkinds", "_vec_dallmiss")
+                 "_profiles", "_prefixes", "_dyn", "_columns", "_vdeps",
+                 "_vkinds")
 
     def __init__(self, n, span_start, span_len, takens, mem_addrs,
                  out_pos, out_text, halted, exit_code, fault,
@@ -172,12 +175,6 @@ class Trace:
         """
         return (max_instructions <= self.n or self.halted
                 or self.fault is not None)
-
-    def output_upto(self, n):
-        """The syscall output emitted by the first *n* instructions."""
-        out_pos = self.out_pos
-        return "".join(text for k, text in enumerate(self.out_text)
-                       if out_pos[k] < n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +291,60 @@ def record_trace(program, static=None, max_instructions=5_000_000):
     )
 
 
+def trace_prefix(trace, static, limit):
+    """The trace of the first *limit* instructions of *trace*.
+
+    A trace cut at ``limit < trace.n`` is itself a trace: field for
+    field the one :func:`record_trace` returns with
+    ``max_instructions=limit``.  The spans are cut at ``limit``; the
+    branch outcomes and memory addresses the kept spans consumed are
+    counted per span from the static execution classes; the output
+    events emitted before ``limit`` are kept.  The prefix neither
+    halts nor faults.  Memoised on *trace* per ``limit``.
+    """
+    try:
+        prefixes = trace._prefixes
+    except AttributeError:
+        prefixes = trace._prefixes = {}
+    prefix = prefixes.get(limit)
+    if prefix is not None:
+        return prefix
+    ex = get_replay_table(static).ex
+    span_start = array("q")
+    span_len = array("q")
+    branches = 0
+    mems = 0
+    done = 0
+    for index, length in zip(trace.span_start, trace.span_len):
+        if done >= limit:
+            break
+        if length > limit - done:
+            length = limit - done
+        span_start.append(index)
+        span_len.append(length)
+        end = index + length
+        branches += ex.count(EX_BRANCH, index, end)
+        mems += ex.count(EX_LOAD, index, end) + ex.count(EX_STORE, index, end)
+        done += length
+    outs = bisect_left(trace.out_pos, limit)
+    prefix = prefixes[limit] = Trace(
+        n=limit,
+        span_start=span_start,
+        span_len=span_len,
+        takens=trace.takens[:branches],
+        mem_addrs=trace.mem_addrs[:mems],
+        out_pos=trace.out_pos[:outs],
+        out_text=trace.out_text[:outs],
+        halted=False,
+        exit_code=0,
+        fault=None,
+        max_instructions=limit,
+        text_base=trace.text_base,
+        program_sha=trace.program_sha,
+    )
+    return prefix
+
+
 # ---------------------------------------------------------------------------
 # Persistence: versioned, checksummed binary format
 # ---------------------------------------------------------------------------
@@ -314,7 +365,11 @@ def _array_from(data, typecode="q"):
 
 
 def save_trace(trace, path):
-    """Write *trace* to *path* (atomic: temp file + replace)."""
+    """Write *trace* to *path* (atomic: temp file + replace).
+
+    Layout (docs/FORMATS.md): magic, version, header length, a JSON
+    header, the array payload, and a SHA-256 trailer over all of them.
+    """
     payload = b"".join([
         _array_bytes(trace.span_start),
         _array_bytes(trace.span_len),
@@ -336,18 +391,17 @@ def save_trace(trace, path):
         "max_instructions": trace.max_instructions,
         "text_base": trace.text_base,
         "program_sha": trace.program_sha,
-        "payload_sha": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join([_MAGIC, struct.pack("<II", TRACE_VERSION, len(blob)),
+                     blob, payload])
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(struct.pack("<II", TRACE_VERSION, len(blob)))
-            handle.write(blob)
-            handle.write(payload)
+            handle.write(body)
+            handle.write(hashlib.sha256(body).digest())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -361,7 +415,7 @@ def load_trace(path):
     """Read a trace written by :func:`save_trace`.
 
     Raises :class:`TraceFormatError` for anything that is not a whole,
-    current-version, checksum-clean trace file.
+    current-version, checksum-clean, self-consistent trace file.
     """
     try:
         with open(path, "rb") as handle:
@@ -381,7 +435,8 @@ def load_trace(path):
         header = json.loads(raw[fixed:fixed + header_len].decode("utf-8"))
     except ValueError:
         raise TraceFormatError("corrupt trace header: %s" % path)
-    payload = raw[fixed + header_len:]
+    body_len = len(raw) - _DIGEST_BYTES
+    payload = raw[fixed + header_len:body_len]
     try:
         spans = header["spans"]
         branches = header["branches"]
@@ -392,7 +447,7 @@ def load_trace(path):
             raise TraceFormatError(
                 "trace payload is %d bytes, expected %d"
                 % (len(payload), expected))
-        if hashlib.sha256(payload).hexdigest() != header["payload_sha"]:
+        if hashlib.sha256(raw[:body_len]).digest() != raw[body_len:]:
             raise TraceFormatError("trace checksum mismatch: %s" % path)
         pos = 0
         span_start = _array_from(payload[pos:pos + 8 * spans])
@@ -404,6 +459,14 @@ def load_trace(path):
         mem_addrs = _array_from(payload[pos:pos + 8 * mems])
         pos += 8 * mems
         out_pos = _array_from(payload[pos:pos + 8 * outs])
+        if header["n"] != sum(span_len):
+            raise TraceFormatError(
+                "trace header n=%r but its spans hold %d instructions"
+                % (header["n"], sum(span_len)))
+        if len(header["out_text"]) != outs:
+            raise TraceFormatError(
+                "trace has %d output positions but %d output chunks"
+                % (outs, len(header["out_text"])))
         return Trace(
             n=header["n"],
             span_start=span_start,
@@ -629,31 +692,27 @@ class TraceProfile:
       plain hit; ``fe_addr[k]`` is the visiting fetch address.
     * ``dmiss`` -- one byte per load/store event (aligned with
       ``Trace.mem_addrs``): 1 when a *load* missed the D-cache.
-    * ``mp`` -- one byte per conditional branch (aligned with
-      ``Trace.takens``): 1 when the predictor mispredicted.
-    * ``brk`` -- per conditional branch, the folded front-end outcome:
-      0 not taken and predicted, 1 taken and predicted, 2 mispredicted
-      (one array read in the kernels instead of ``mp`` plus
-      ``Trace.takens``).
+    * ``brk`` -- one byte per conditional branch (aligned with
+      ``Trace.takens``), the folded front-end outcome: 0 not taken and
+      predicted, 1 taken and predicted, 2 mispredicted.
 
     Totals (``icache_accesses`` .. ``mispredicts``) carry the cache and
     predictor statistics of a full replay; ``final_cur_line`` is the
     fetch unit's line bookkeeping at exit.
     """
 
-    __slots__ = ("fe_pos", "fe_flags", "fe_addr", "dmiss", "mp", "brk",
+    __slots__ = ("fe_pos", "fe_flags", "fe_addr", "dmiss", "brk",
                  "icache_accesses", "icache_misses",
                  "dcache_accesses", "dcache_misses",
                  "lookups", "mispredicts", "final_cur_line")
 
-    def __init__(self, fe_pos, fe_flags, fe_addr, dmiss, mp, brk,
+    def __init__(self, fe_pos, fe_flags, fe_addr, dmiss, brk,
                  icache_accesses, icache_misses, dcache_accesses,
                  dcache_misses, lookups, mispredicts, final_cur_line):
         self.fe_pos = fe_pos
         self.fe_flags = fe_flags
         self.fe_addr = fe_addr
         self.dmiss = dmiss
-        self.mp = mp
         self.brk = brk
         self.icache_accesses = icache_accesses
         self.icache_misses = icache_misses
@@ -690,7 +749,6 @@ def build_profile(static, trace, arch):
     fe_flags = bytearray()
     fe_addr = array("q")
     dmiss = bytearray(len(mem_addrs))
-    mp = bytearray(len(takens))
     brk = bytearray(len(takens))
 
     cur_line = -1
@@ -727,7 +785,6 @@ def build_profile(static, trace, arch):
                     predicted = predict(addr)
                     update(addr, taken)
                     if predicted != taken:
-                        mp[bi] = 1
                         brk[bi] = 2
                         mispredicts += 1
                         cur_line = -1
@@ -745,7 +802,6 @@ def build_profile(static, trace, arch):
         fe_flags=fe_flags,
         fe_addr=fe_addr,
         dmiss=dmiss,
-        mp=mp,
         brk=brk,
         icache_accesses=icache.stats.accesses,
         icache_misses=icache.stats.misses,
@@ -768,7 +824,8 @@ def get_profile(static, trace, arch, vec=None):
     the vectorized column scan (:mod:`repro.sim.vecreplay`) when NumPy
     is importable, ``False`` forces the scalar walk above, ``True``
     insists on the vectorized one.  Both produce identical profiles
-    (asserted by the differential suite), so the memo is shared.
+    (asserted by the differential suite), so the memo is shared.  An
+    empty trace always takes the scalar walk.
     """
     key = (arch.icache, arch.dcache, arch.predictor)
     try:
@@ -777,14 +834,15 @@ def get_profile(static, trace, arch, vec=None):
         profiles = trace._profiles = {}
     profile = profiles.get(key)
     if profile is None:
-        builder = build_profile
         if vec or vec is None:
             from repro.sim import vecreplay
             if vecreplay.available():
-                builder = vecreplay.build_profile_vec
+                profile = vecreplay.build_profile_vec(static, trace, arch)
             elif vec:
                 raise RuntimeError("vec=True requires NumPy")
-        profile = profiles[key] = builder(static, trace, arch)
+        if profile is None:  # scalar, or an empty trace
+            profile = build_profile(static, trace, arch)
+        profiles[key] = profile
     return profile
 
 
@@ -822,426 +880,39 @@ def _dyn_ops(trace, ops):
 
 
 # ---------------------------------------------------------------------------
-# Timing-only replay kernels
+# Timing-only replay
 # ---------------------------------------------------------------------------
 
-def replay_inorder(static, trace, fetch_unit, dcache, memory, predictor,
-                   arch, max_instructions, vec=None):
-    """Replay *trace* under the 1-issue in-order timing model.
+def replay_trace(static, trace, fetch_unit, dcache, memory, arch,
+                 max_instructions, vec=None):
+    """Replay *trace* under *arch*'s timing model, timing only.
 
-    Cycle-exact against :func:`repro.sim.inorder.run_inorder` driving
-    ``FunctionalCore.step``.  Returns ``(cycles, branch_lookups,
-    branch_mispredicts, instructions_replayed)``; cache, predictor and
-    miss-path state is left exactly as the execute-driven run leaves
-    it.
+    Cycle-exact against :func:`repro.sim.inorder.run_inorder` /
+    :func:`repro.sim.ooo.run_ooo` driving ``FunctionalCore.step``.  A
+    cap inside the trace replays :func:`trace_prefix`, so every replay
+    runs a stream kernel to the end of its trace.  Returns ``(cycles,
+    branch_lookups, branch_mispredicts, replayed)``, where ``replayed``
+    is the trace that ran (*trace* or its prefix), whose ``n``,
+    ``halted``, ``exit_code`` and output are the run's; the cache
+    statistics and fetch-unit state are left exactly as the
+    execute-driven run leaves them.
     """
     if not trace.covers(max_instructions):
         raise TraceError(
             "trace records %d instructions (no halt/fault); cannot "
             "replay %d" % (trace.n, max_instructions))
-    ops = get_replay_table(static).ops
-
-    if max_instructions >= trace.n:
-        # Full replay: all cache/predictor outcomes come from the
-        # (shared, cached) profile; the loop below is only needed for
-        # truncating caps, whose statistics stop mid-stream.
-        profile = get_profile(static, trace, arch, vec=vec)
-        cycles = _replay_inorder_stream(ops, trace, profile, fetch_unit,
-                                        dcache, memory, arch)
-        _apply_profile_stats(profile, fetch_unit, dcache)
-        return cycles, profile.lookups, profile.mispredicts, trace.n
-
-    reg_ready = [0] * N_SLOTS
-    fetch_time = 0
-    prev_issue = -1
-    mult_free = 0
-    last_complete = 0
-    branch_lookups = 0
-    branch_mispredicts = 0
-    dline = dcache.line_bytes
-    # With an uncontended channel the miss latency is a constant; a
-    # shared channel must be asked per miss so bursts queue up.
-    shared_bus = getattr(memory, "shared", False)
-    base_memory = memory.config if shared_bus else memory
-    dmiss_latency = base_memory.access_done(dline, 0) + 1
-
-    dcache_access = dcache.access
-    predict = predictor.predict
-    update = predictor.update
-    penalty = arch.mispredict_penalty
-
-    # The fetch unit's bookkeeping, inlined on locals (synced on exit).
-    line_bytes = fetch_unit.line_bytes
-    access_line = fetch_unit.icache.access_line
-    miss = fetch_unit.miss_path.miss
-    mtrace = fetch_unit.trace
-    cur_line = fetch_unit._cur_line
-    fill = fetch_unit._fill
-    fill_line = fill.line_addr if fill is not None else -1
-    fill_times = fill.word_times if fill is not None else None
-
-    span_start = trace.span_start
-    span_len = trace.span_len
-    takens = trace.takens
-    mem_addrs = trace.mem_addrs
-    text_base = trace.text_base
-    limit = trace.n if trace.n < max_instructions else max_instructions
-
-    mi = 0  # next mem_addrs entry
-    bi = 0  # next takens entry
-    instret = 0
-
-    for s in range(len(span_start)):
-        if instret >= limit:
-            break
-        count = span_len[s]
-        if instret + count > limit:
-            count = limit - instret
-        index = span_start[s]
-        addr = text_base + (index << 2)
-        for j in range(index, index + count):
-            ex, latency, s0, s1, d0, d1 = ops[j]
-
-            # ---- fetch (one I-cache access per line visit) -----------
-            line = addr // line_bytes
-            if line != cur_line:
-                cur_line = line
-                if not access_line(line):
-                    fill = miss(addr, fetch_time)
-                    fetch_unit._fill = fill
-                    if mtrace is not None:
-                        mtrace.record(addr, fetch_time, fill)
-                    fill_line = line
-                    fill_times = fill.word_times
-                    available = fill.critical_ready
-                    if available > fetch_time:
-                        fetch_time = available
-                elif fill_line == line:
-                    available = fill_times[(addr % line_bytes) >> 2]
-                    if available > fetch_time:
-                        fetch_time = available
-                    else:
-                        available = fetch_time
-                else:
-                    available = fetch_time
-            elif fill_line == line:
-                available = fill_times[(addr % line_bytes) >> 2]
-                if available > fetch_time:
-                    fetch_time = available
-                else:
-                    available = fetch_time
-            else:
-                available = fetch_time
-
-            # ---- issue / complete ------------------------------------
-            issue = available + DECODE_LATENCY
-            if issue <= prev_issue:
-                issue = prev_issue + 1
-            ready = reg_ready[s0]
-            if ready > issue:
-                issue = ready
-            ready = reg_ready[s1]
-            if ready > issue:
-                issue = ready
-            if ex == 0:  # EX_PLAIN, the common case
-                complete = issue + latency
-            elif ex == EX_LOAD:
-                complete = issue + latency
-                if not dcache_access(mem_addrs[mi]):
-                    if shared_bus:
-                        complete = memory.access_done(dline, issue) + 1
-                    else:
-                        complete = issue + dmiss_latency
-                mi += 1
-            elif ex == EX_STORE:
-                dcache_access(mem_addrs[mi])
-                mi += 1
-                complete = issue + latency
-            elif ex == EX_MULT:
-                # The non-pipelined multiply/divide unit.
-                if mult_free > issue:
-                    issue = mult_free
-                complete = issue + latency
-                mult_free = complete
-            else:
-                complete = issue + latency
-            reg_ready[d0] = complete
-            reg_ready[d1] = complete
-            prev_issue = issue
-            if complete > last_complete:
-                last_complete = complete
-
-            # ---- control flow ----------------------------------------
-            if ex == EX_BRANCH:
-                taken = takens[bi]
-                bi += 1
-                branch_lookups += 1
-                predicted = predict(addr)
-                update(addr, taken)
-                if predicted != taken:
-                    branch_mispredicts += 1
-                    restart = complete + penalty - latency
-                    if restart > fetch_time:
-                        fetch_time = restart
-                    cur_line = -1  # redirect
-                elif taken:
-                    fetch_time += 1
-                    cur_line = -1  # redirect
-                else:
-                    fetch_time += 1
-            elif ex == EX_JUMP:
-                fetch_time += 1
-                cur_line = -1  # redirect
-            else:
-                fetch_time += 1
-            addr += 4
-        instret += count
-
-    fetch_unit._cur_line = cur_line
-    return last_complete, branch_lookups, branch_mispredicts, instret
-
-
-def replay_ooo(static, trace, fetch_unit, dcache, memory, predictor, arch,
-               max_instructions, compiled=True, vec=None):
-    """Replay *trace* under the out-of-order timing model.
-
-    Cycle-exact against :func:`repro.sim.ooo.run_ooo` driving
-    ``FunctionalCore.step``; same return convention as
-    :func:`replay_inorder`.  Each dynamic instruction costs O(1):
-    scoreboard lookups, a heap-ordered function-unit grab, the commit
-    ring -- no architectural work at all.
-
-    By default the replay runs through a kernel specialised to the
-    trace (:mod:`repro.sim.replay_codegen`): hot span shapes are
-    unrolled into straight-line code with instruction constants baked
-    in, compiled once per trace and shared by every architecture and
-    CodePack configuration replaying it.  ``compiled=False`` forces the
-    generic loop below, which doubles as the oracle the compiled
-    kernels are differentially tested against.
-    """
-    if not trace.covers(max_instructions):
-        raise TraceError(
-            "trace records %d instructions (no halt/fault); cannot "
-            "replay %d" % (trace.n, max_instructions))
-    ops = get_replay_table(static).ops
-
-    if max_instructions >= trace.n:
-        # Full replay: the profile-driven stream kernel needs no
-        # per-instruction calls and no compilation.
-        profile = get_profile(static, trace, arch, vec=vec)
-        cycles = _replay_ooo_stream(ops, trace, profile, fetch_unit,
-                                    dcache, memory, arch)
-        _apply_profile_stats(profile, fetch_unit, dcache)
-        return cycles, profile.lookups, profile.mispredicts, trace.n
-
-    if compiled:
-        cached = getattr(trace, "_kernel", None)
-        if cached is None:
-            from repro.sim.replay_codegen import compile_ooo_kernel
-            cached = compile_ooo_kernel(ops, trace)
-            trace._kernel = cached
-        kernel, sids = cached
-        limit = trace.n if trace.n < max_instructions else max_instructions
-        return kernel(trace, sids, ops, fetch_unit, dcache, memory,
-                      predictor, arch, limit, heapreplace)
-
-    reg_ready = [0] * N_SLOTS
-    ruu_size = arch.ruu_size
-    commit_ring = [0] * ruu_size  # commit time of instruction i - ruu_size
-    ring_pos = 0
-
-    fetch_width = arch.fetch_queue
-    commit_width = arch.issue_width
-    penalty = arch.mispredict_penalty
-
-    # Function-unit pools as raw next-free heaps (min at [0]).
-    alu_free = [0] * arch.n_alu
-    mult_free = [0] * arch.n_mult
-    mem_free = [0] * arch.n_memport
-
-    fq_time = 0  # cycle currently being fetched into
-    fq_count = 0  # instructions fetched in that cycle
-    cm_time = 0  # cycle currently committing
-    cm_count = 0
-    last_commit = 0
-    prev_commit = 0
-
-    branch_lookups = 0
-    branch_mispredicts = 0
-    dline = dcache.line_bytes
-    # With an uncontended channel the miss latency is a constant; a
-    # shared channel must be asked per miss so bursts queue up.
-    shared_bus = getattr(memory, "shared", False)
-    base_memory = memory.config if shared_bus else memory
-    dmiss_latency = base_memory.access_done(dline, 0) + 1
-
-    dcache_access = dcache.access
-    predict = predictor.predict
-    update = predictor.update
-
-    line_bytes = fetch_unit.line_bytes
-    access_line = fetch_unit.icache.access_line
-    miss = fetch_unit.miss_path.miss
-    mtrace = fetch_unit.trace
-    cur_line = fetch_unit._cur_line
-    fill = fetch_unit._fill
-    fill_line = fill.line_addr if fill is not None else -1
-    fill_times = fill.word_times if fill is not None else None
-
-    span_start = trace.span_start
-    span_len = trace.span_len
-    takens = trace.takens
-    mem_addrs = trace.mem_addrs
-    text_base = trace.text_base
-    limit = trace.n if trace.n < max_instructions else max_instructions
-
-    mi = 0
-    bi = 0
-    instret = 0
-
-    for s in range(len(span_start)):
-        if instret >= limit:
-            break
-        count = span_len[s]
-        if instret + count > limit:
-            count = limit - instret
-        index = span_start[s]
-        addr = text_base + (index << 2)
-        for j in range(index, index + count):
-            ex, latency, s0, s1, d0, d1 = ops[j]
-
-            # ---- fetch: in order, fetch_width per cycle --------------
-            line = addr // line_bytes
-            if line != cur_line:
-                cur_line = line
-                if not access_line(line):
-                    fill = miss(addr, fq_time)
-                    fetch_unit._fill = fill
-                    if mtrace is not None:
-                        mtrace.record(addr, fq_time, fill)
-                    fill_line = line
-                    fill_times = fill.word_times
-                    available = fill.critical_ready
-                elif fill_line == line:
-                    available = fill_times[(addr % line_bytes) >> 2]
-                else:
-                    available = fq_time
-            elif fill_line == line:
-                available = fill_times[(addr % line_bytes) >> 2]
-            else:
-                available = fq_time
-            if available > fq_time:
-                fq_time = available
-                fq_count = 0
-            fetch_time = fq_time
-            fq_count += 1
-            if fq_count >= fetch_width:
-                fq_time += 1
-                fq_count = 0
-
-            # ---- dispatch: window occupancy (RUU) --------------------
-            dispatch = fetch_time + FRONT_END_LATENCY
-            window_free = commit_ring[ring_pos]
-            if window_free > dispatch:
-                dispatch = window_free
-
-            # ---- issue/execute ---------------------------------------
-            ready = dispatch
-            t = reg_ready[s0]
-            if t > ready:
-                ready = t
-            t = reg_ready[s1]
-            if t > ready:
-                ready = t
-            if ex == 0:  # EX_PLAIN on an ALU, the common case
-                t = alu_free[0]
-                start = ready if ready > t else t
-                heapreplace(alu_free, start + 1)
-                complete = start + latency
-            elif ex == EX_LOAD:
-                t = mem_free[0]
-                start = ready if ready > t else t
-                heapreplace(mem_free, start + 1)
-                complete = start + latency
-                if not dcache_access(mem_addrs[mi]):
-                    if shared_bus:
-                        complete = memory.access_done(dline, start) + 1
-                    else:
-                        complete = start + dmiss_latency
-                mi += 1
-            elif ex == EX_STORE:
-                t = mem_free[0]
-                start = ready if ready > t else t
-                heapreplace(mem_free, start + 1)
-                complete = start + latency
-                dcache_access(mem_addrs[mi])
-                mi += 1
-            elif ex == EX_MULT:
-                # Non-pipelined multiply/divide: busy the full latency.
-                t = mult_free[0]
-                start = ready if ready > t else t
-                heapreplace(mult_free, start + latency)
-                complete = start + latency
-            else:  # branches, jumps, syscalls occupy an ALU slot
-                t = alu_free[0]
-                start = ready if ready > t else t
-                heapreplace(alu_free, start + 1)
-                complete = start + latency
-            reg_ready[d0] = complete
-            reg_ready[d1] = complete
-
-            # ---- commit: in order, commit_width per cycle ------------
-            commit = complete + 1
-            if commit < prev_commit:
-                commit = prev_commit
-            if commit > cm_time:
-                cm_time = commit
-                cm_count = 0
-            else:
-                commit = cm_time
-            cm_count += 1
-            if cm_count >= commit_width:
-                cm_time += 1
-                cm_count = 0
-            prev_commit = commit
-            commit_ring[ring_pos] = commit
-            ring_pos += 1
-            if ring_pos == ruu_size:
-                ring_pos = 0
-            if commit > last_commit:
-                last_commit = commit
-
-            # ---- control flow ----------------------------------------
-            if ex == EX_BRANCH:
-                taken = takens[bi]
-                bi += 1
-                branch_lookups += 1
-                predicted = predict(addr)
-                update(addr, taken)
-                if predicted != taken:
-                    branch_mispredicts += 1
-                    restart = complete + penalty
-                    if restart > fq_time:
-                        fq_time = restart
-                        fq_count = 0
-                    cur_line = -1  # redirect
-                elif taken:
-                    fq_time += 1
-                    fq_count = 0
-                    cur_line = -1  # redirect
-            elif ex == EX_JUMP:
-                fq_time += 1
-                fq_count = 0
-                cur_line = -1  # redirect
-            addr += 4
-        instret += count
-
-    fetch_unit._cur_line = cur_line
-    return last_commit, branch_lookups, branch_mispredicts, instret
+    if max_instructions < trace.n:
+        trace = trace_prefix(trace, static, max(max_instructions, 0))
+    profile = get_profile(static, trace, arch, vec=vec)
+    kernel = _replay_inorder_stream if arch.in_order else _replay_ooo_stream
+    cycles = kernel(get_replay_table(static).ops, trace, profile,
+                    fetch_unit, dcache, memory, arch)
+    _apply_profile_stats(profile, fetch_unit, dcache)
+    return cycles, profile.lookups, profile.mispredicts, trace
 
 
 # ---------------------------------------------------------------------------
-# Profile-driven stream kernels (full replays)
+# Profile-driven stream kernels
 # ---------------------------------------------------------------------------
 
 def _replay_inorder_stream(ops, trace, profile, fetch_unit, dcache, memory,

@@ -36,14 +36,16 @@ traversal over structure-of-arrays NumPy columns:
   width: a pass narrower than its kernel's measured lane crossover
   (:data:`MIN_LANES_OOO`, :data:`MIN_LANES_INORDER`) comes back
   unpriced and counted as a route, because the scalar stream kernel
-  prices its few cells faster one by one.  Whatever a kernel cannot
-  serve is recorded in a caller-supplied decline histogram rather
-  than silently skipped; a route is never a decline.
+  prices its few cells faster one by one.  A cap inside the trace
+  prices :func:`repro.sim.replay.trace_prefix`, so every kernel pass
+  runs to the end of its trace.  Whatever a kernel cannot serve is
+  recorded in a caller-supplied decline histogram rather than
+  silently skipped; a route is never a decline.
 
-Everything here is an accelerator, not a model: the scalar
-``replay_inorder``/``replay_ooo`` engines remain the oracle, and the
-differential suite in ``tests/sim/test_vecreplay.py`` asserts
-cycle-exactness and statistics-identity across the paper's cell grid.
+Everything here is an accelerator, not a model: the execute-driven
+models remain the oracle, and the differential suite in
+``tests/sim/test_vecreplay.py`` asserts cycle-exactness and
+statistics-identity across the paper's cell grid.
 NumPy is optional -- ``import repro.sim.vecreplay`` works without it
 and :func:`available` reports whether the fast path can run.
 """
@@ -61,12 +63,11 @@ from repro.sim.cpu import (
     EX_LOAD,
     EX_MULT,
     EX_STORE,
-    SimulationError,
 )
 from repro.sim.inorder import DECODE_LATENCY
 from repro.sim.machine import describe_mode
 from repro.sim.ooo import FRONT_END_LATENCY
-from repro.sim.replay import TraceProfile, get_replay_table
+from repro.sim.replay import TraceProfile, get_replay_table, trace_prefix
 from repro.sim.results import SimResult
 
 try:  # pragma: no cover - exercised by the no-NumPy CI leg
@@ -227,7 +228,7 @@ def _gshare_history(takens, history_bits):
     nb = len(takens)
     h = np.zeros(nb, dtype=np.int64)
     t64 = takens.astype(np.int64)
-    for m in range(history_bits):
+    for m in range(min(history_bits, nb - 1)):
         # bit m of the history before branch i is taken[i - 1 - m]
         h[m + 1:] += t64[:nb - m - 1] << m
     return h
@@ -406,7 +407,6 @@ def build_profile_vec(static, trace, arch):
         fe_flags=bytearray(flags.astype(np.uint8).tobytes()),
         fe_addr=fe_addr,
         dmiss=bytearray(dmiss_np.astype(np.uint8).tobytes()),
-        mp=bytearray(mp_b.astype(np.uint8).tobytes()),
         brk=bytearray(brk_b.astype(np.uint8).tobytes()),
         icache_accesses=int(nv),
         icache_misses=int(np.count_nonzero(~ihits)),
@@ -718,31 +718,20 @@ class _Subgroup:
         self.busy_tmp = None
         self.nobh1 = None
 
-    def attach_profile(self, profile, n, limit):
+    def attach_profile(self, profile, n):
         self.profile = profile
-        fe_pos = profile.fe_pos  # array('q'): fast scalar indexing
-        fe_flags = profile.fe_flags
-        fe_addr = profile.fe_addr
-        if limit < n:
-            # Truncating cap: the stream is prefix-valid (no timing
-            # feedback), so the kernels just see the clipped events.
-            nf = int(np.searchsorted(
-                np.frombuffer(fe_pos, dtype=np.int64), limit))
-            fe_pos = fe_pos[:nf]
-            fe_flags = fe_flags[:nf]
-            fe_addr = fe_addr[:nf]
-        self.fe_pos = fe_pos
-        self.fe_flags = fe_flags
-        self.fe_addr = fe_addr
+        self.fe_pos = fe_pos = profile.fe_pos  # array('q'): fast indexing
+        self.fe_flags = fe_flags = profile.fe_flags
+        self.fe_addr = profile.fe_addr
         self.n_fe = len(fe_pos)
-        self.next_fe = self.fe_pos[0] if self.n_fe else limit
+        self.next_fe = fe_pos[0] if self.n_fe else n
         # Positions of the *state-bearing* events (miss fills and
         # in-flight-line hits).  Plain hit-visits only close a consult
         # window, so they never force a chunk boundary.
         fp = np.frombuffer(fe_pos, dtype=np.int64)
         fl = np.frombuffer(bytes(fe_flags), dtype=np.uint8)
         self.nz_pos = fp[fl != 0].tolist()
-        self.nz_pos.append(limit)
+        self.nz_pos.append(n)
         self.nbi = 0
         self.next_break = self.nz_pos[0]
         self.span_end = 0
@@ -797,7 +786,7 @@ class _Subgroup:
 
 
 def _prepare_group(group_cells, static, trace, image, cols,
-                   critical_word_first, native_prefetch, limit):
+                   critical_word_first, native_prefetch):
     """Order a group's cells into subgroups/segments and precompute
     every per-event table the kernels consume."""
     text_base = trace.text_base
@@ -822,9 +811,8 @@ def _prepare_group(group_cells, static, trace, image, cols,
                                      []).append(c)
         start = col
         sg = _Subgroup(slice(start, start + len(members)), icache)
-        n = trace.n
         profile = _get_profile_for(static, trace, members[0][1])
-        sg.attach_profile(profile, n, limit)
+        sg.attach_profile(profile, trace.n)
         fe_flags_np = np.frombuffer(bytes(sg.fe_flags), dtype=np.uint8)
         fe_addr_np = np.frombuffer(sg.fe_addr, dtype=np.int64)
         ev_addr1 = fe_addr_np[fe_flags_np == 1]
@@ -1467,21 +1455,14 @@ def _run_inorder_group(subgroups, C, n, dyn, dmiss, brk, arch, dlat,
                 sg.busy_cp = BUSY[sg.sl][sg.cp_sl]
 
     # ---- break-set precomputation (pure array work) ------------------
-    # Event columns are clipped to the replay window ``n`` (the
-    # truncating cap, if any): ``mpos``/``bpos`` are sorted, so the
-    # prefix is a searchsorted slice.
-    j0np, j1np, opmat = deps[2][:n], deps[3][:n], deps[4]
-    lat_col = opmat[:n, 1]
-    ex_col = cols.ex[:n]
-    nm = int(np.searchsorted(cols.mpos, n))
-    nb = int(np.searchsorted(cols.bpos, n))
-    dmiss_np = np.frombuffer(bytes(dmiss), dtype=np.uint8)[:nm]
-    brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)[:nb]
+    j0np, j1np, opmat = deps[2], deps[3], deps[4]
+    dmiss_np = np.frombuffer(bytes(dmiss), dtype=np.uint8)
+    brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)
     miss_mask = np.zeros(n, dtype=bool)
-    miss_mask[cols.mpos[:nm][cols.is_load[:nm] & (dmiss_np != 0)]] = True
+    miss_mask[cols.mpos[cols.is_load & (dmiss_np != 0)]] = True
     brk2_mask = np.zeros(n, dtype=bool)
-    brk2_mask[cols.bpos[:nb][brk_np == 2]] = True
-    heavy = miss_mask | (lat_col > 1) | (ex_col == EX_MULT)
+    brk2_mask[cols.bpos[brk_np == 2]] = True
+    heavy = miss_mask | (opmat[:, 1] > 1) | (cols.ex == EX_MULT)
     hpos = np.flatnonzero(heavy)
     hmap = np.full(n, -1, dtype=np.int64)
     hmap[hpos] = np.arange(len(hpos))
@@ -1625,41 +1606,16 @@ def _group_key(arch):
             arch.shared_memory_bus)
 
 
-def _dmiss_all_positions(trace, cols, dcache):
-    """Sorted dynamic positions of *all* D-cache misses (loads and
-    stores) for one D-cache geometry, memoised on the trace.
-
-    The profile's ``dmiss`` stream only marks load misses (store
-    misses never stall the pipeline), but truncated replays report the
-    live cache's miss *count*, which includes stores; a prefix of this
-    column is exactly that count.
-    """
-    key = (dcache.line_bytes, dcache.n_sets, dcache.assoc)
-    memos = getattr(trace, "_vec_dallmiss", None)
-    if memos is None:
-        memos = {}
-        try:
-            trace._vec_dallmiss = memos
-        except AttributeError:
-            pass
-    entry = memos.get(key)
-    if entry is None:
-        dhits = _lru_hits(cols.mem_addrs // np.int64(dcache.line_bytes),
-                          dcache.n_sets, dcache.assoc)
-        entry = memos[key] = cols.mpos[~dhits]
-    return entry
-
-
 def _price_group(program, group_cells, static, trace, image,
-                 critical_word_first, native_prefetch, limit, halted,
-                 output, exit_code, truncated):
+                 critical_word_first, native_prefetch):
     from repro.sim.replay import _dyn_ops
 
     arch0 = group_cells[0][1]
+    n = trace.n
     cols = trace_columns(trace, static)
     subgroups, ordered = _prepare_group(group_cells, static, trace, image,
                                         cols, critical_word_first,
-                                        native_prefetch, limit)
+                                        native_prefetch)
     C = len(ordered)
     dlat = np.array(
         [c[1].memory.access_done(c[1].dcache.line_bytes, 0) + 1
@@ -1669,44 +1625,27 @@ def _price_group(program, group_cells, static, trace, image,
     dmiss = prof0.dmiss
     brk = prof0.brk
     if arch0.in_order:
-        cycles = _run_inorder_group(subgroups, C, limit, dyn, dmiss, brk,
+        cycles = _run_inorder_group(subgroups, C, n, dyn, dmiss, brk,
                                     arch0, dlat, cols,
                                     _dyn_deps(trace, dyn))
     else:
-        nb = int(np.searchsorted(cols.bpos, limit))
-        brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)[:nb]
-        redirects = np.union1d(np.flatnonzero(cols.ex[:limit] == EX_JUMP),
-                               cols.bpos[:nb][brk_np != 0])
+        brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)
+        redirects = np.union1d(np.flatnonzero(cols.ex == EX_JUMP),
+                               cols.bpos[brk_np != 0])
         rlist = redirects.tolist()
-        rlist.append(limit + 1)  # sentinel past the last chunk
-        cycles = _run_ooo_group(subgroups, C, limit, dyn,
+        rlist.append(n + 1)  # sentinel past the last chunk
+        cycles = _run_ooo_group(subgroups, C, n, dyn,
                                 _dyn_kinds(trace, dyn), dmiss, brk,
                                 arch0, dlat, rlist, _dyn_deps(trace, dyn))
 
-    full = limit == trace.n
-    if not full:
-        # The scalar truncating loops drive live caches/predictors, so
-        # their reported stats are exact prefix counts over the same
-        # event streams the profile records.
-        dca = int(np.searchsorted(cols.mpos, limit))
-        dcm = int(np.searchsorted(
-            _dmiss_all_positions(trace, cols, arch0.dcache), limit))
-        lookups = int(np.searchsorted(cols.bpos, limit))
-        mp_np = np.frombuffer(bytes(prof0.mp), dtype=np.uint8)
-        mispredicts = int(np.count_nonzero(mp_np[:lookups]))
-
+    # A priced trace ends at a halt or at the cap (price_grid declines
+    # a fault within the cap), so an unhalted one was cut short.
+    output = "".join(trace.out_text)
+    truncated = not trace.halted
     results = {}
     col = 0
     for sg in subgroups:
         p = sg.profile
-        if full:
-            ica, icm = p.icache_accesses, p.icache_misses
-            dca, dcm = p.dcache_accesses, p.dcache_misses
-            lookups, mispredicts = p.lookups, p.mispredicts
-        else:
-            ica = sg.n_fe
-            icm = int(np.count_nonzero(np.frombuffer(
-                bytes(sg.fe_flags), dtype=np.uint8) == 1))
         n1 = len(sg.blocks1) if sg.blocks1 is not None else 0
         for seg in sg.native_segs + sg.cp_segs:
             for c in seg.cells:
@@ -1733,24 +1672,24 @@ def _price_group(program, group_cells, static, trace, image,
                     benchmark=program.name,
                     arch=arch.name,
                     mode=describe_mode(codepack),
-                    instructions=limit,
+                    instructions=n,
                     cycles=int(cycles[col]),
-                    icache_accesses=ica,
-                    icache_misses=icm,
-                    dcache_accesses=dca,
-                    dcache_misses=dcm,
-                    branch_lookups=lookups,
-                    branch_mispredicts=mispredicts,
+                    icache_accesses=p.icache_accesses,
+                    icache_misses=p.icache_misses,
+                    dcache_accesses=p.dcache_accesses,
+                    dcache_misses=p.dcache_misses,
+                    branch_lookups=p.lookups,
+                    branch_mispredicts=p.mispredicts,
                     engine=engine,
                     output=output,
-                    exit_code=exit_code,
+                    exit_code=trace.exit_code,
                     extra={"truncated": truncated},
                 )
                 col += 1
     return results
 
 
-#: Fewest lanes (cells) a full-trace kernel pass must carry to beat
+#: Fewest lanes (cells) a kernel pass must carry to beat
 #: pricing each of its cells on the scalar stream kernel
 #: (``_replay_ooo_stream`` / ``_replay_inorder_stream`` in
 #: :mod:`repro.sim.replay`).  A lockstep pass pays a fixed cost per
@@ -1774,15 +1713,17 @@ def price_grid(benches, cells, *, max_instructions,
     with a lane per cell.  Every priced cell's
     :class:`~repro.sim.results.SimResult` is exactly what
     :func:`repro.sim.machine.simulate` returns for it -- including
-    shared-bus cells and truncating ``max_instructions`` caps.
+    shared-bus cells and truncating ``max_instructions`` caps.  A cap
+    inside the trace prices the trace's prefix
+    (:func:`repro.sim.replay.trace_prefix`), exactly as scalar replay
+    does.
 
-    A full-trace pass with fewer lanes than ``min_lanes`` is *routed*:
-    its cells come back unpriced, because the scalar stream kernel
-    prices them faster one by one.  ``min_lanes`` defaults to the
-    measured crossover of the pass's kernel (:data:`MIN_LANES_OOO`,
+    A pass with fewer lanes than ``min_lanes`` is *routed*: its cells
+    come back unpriced, because the scalar stream kernel prices them
+    faster one by one.  ``min_lanes`` defaults to the measured
+    crossover of the pass's kernel (:data:`MIN_LANES_OOO`,
     :data:`MIN_LANES_INORDER`); ``1`` forces the kernel at every
-    width.  A truncating pass is never routed: the scalar engines have
-    no stream kernel for a cap inside the trace.
+    width.
 
     Returns ``{cell_index: SimResult}`` for the cells priced here;
     callers run the rest through the scalar engines.  When *routes*
@@ -1817,27 +1758,23 @@ def price_grid(benches, cells, *, max_instructions,
             # the scalar path raises; keep that behaviour there
             decline(len(bcells), "trace fault within the cap")
             continue
-        limit = min(trace.n, max_instructions)
-        if limit <= 0:
+        if max_instructions <= 0:
             decline(len(bcells), "empty replay window")
             continue
         in_order = bcells[0][1].in_order
         floor = min_lanes or (MIN_LANES_INORDER if in_order
                               else MIN_LANES_OOO)
-        if len(bcells) < floor and limit == trace.n:
+        if len(bcells) < floor:
             if routes is not None:
                 kernel = "inorder" if in_order else "ooo"
                 routes[kernel] = routes.get(kernel, 0) + len(bcells)
             continue
-        halted = trace.halted and limit == trace.n
-        output = trace.output_upto(limit)
-        exit_code = trace.exit_code if halted else 0
-        truncated = not halted and limit >= max_instructions
+        if max_instructions < trace.n:
+            trace = trace_prefix(trace, static, max_instructions)
         try:
             out.update(_price_group(
                 program, bcells, static, trace, image,
-                critical_word_first, native_prefetch, limit,
-                halted, output, exit_code, truncated))
+                critical_word_first, native_prefetch))
         except _VecUnsupported as exc:
             decline(len(bcells), str(exc))
     return out

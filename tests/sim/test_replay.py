@@ -5,29 +5,28 @@ functional trace once and replaying it under any timing configuration
 must reproduce the execute-driven :func:`run_inorder` / :func:`run_ooo`
 result bit-for-bit.  These tests hold it to that across issue widths,
 CodePack modes, ablation knobs, instruction-budget truncation, miss
-traces and architectural faults, and pin the compiled replay kernels
-against the generic interpreting loop they were generated from.
+traces and architectural faults.  A cap inside a trace replays the
+trace's prefix, so the prefix itself is held to the trace that
+recording at that cap produces.
 """
 
 import dataclasses
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.experiments import CP_BASELINE, CP_OPTIMIZED
 from repro.codepack.compressor import compress_program
 from repro.isa.assembler import assemble
-from repro.sim.branch import make_predictor
-from repro.sim.cache import Cache
 from repro.sim.config import ARCH_1_ISSUE, ARCH_4_ISSUE, ARCH_8_ISSUE
 from repro.sim.cpu import SimulationError
-from repro.sim.fetch import FetchUnit, NativeMissPath
 from repro.sim.machine import prepare, simulate
-from repro.sim.memory import MemoryChannel
 from repro.sim.replay import (
     TraceError,
     record_trace,
-    replay_ooo,
+    trace_prefix,
 )
 from repro.sim.trace import MissTrace
 from repro.workloads.suite import build_benchmark
@@ -113,6 +112,20 @@ class TestDifferentialSuite:
         got = simulate(program, ARCH_4_ISSUE, static=static, replay=True)
         assert result_state(ref) == result_state(got)
 
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_fewer_branches_than_history_bits(self, arch):
+        # The gshare and hybrid predictors hash more history bits than
+        # this loop has branches; the vector profile builder must still
+        # agree with the execute-driven run.
+        program = assemble(".text 0x400000\naddiu $t0, $zero, 3\n"
+                           "loop:\naddiu $t0, $t0, -1\n"
+                           "bne $t0, $zero, loop\n"
+                           "addiu $v0, $zero, 10\nsyscall")
+        ref = simulate(program, ARCHS[arch])
+        got = simulate(program, ARCHS[arch], replay=True)
+        assert ref.branch_lookups == 3
+        assert result_state(ref) == result_state(got)
+
     def test_miss_trace_identical(self, suite):
         program, static, image, trace = suite["cc1"]
         ref_trace, got_trace = MissTrace(), MissTrace()
@@ -125,63 +138,69 @@ class TestDifferentialSuite:
                 == [dataclasses.astuple(e) for e in got_trace.events])
 
 
-class TestCompiledKernel:
-    """The per-trace generated OOO kernel vs the generic loop.
-
-    The compiled kernel only runs for truncating caps (full replays go
-    through the profile-driven stream kernel), so the comparison pins
-    a mid-stream cap on every architecture.
-    """
-
-    def timing_state(self, suite, bench, arch, cap, compiled):
-        program, static, image, trace = suite[bench]
-        channel = MemoryChannel(arch.memory, shared=arch.shared_memory_bus)
-        fetch_unit = FetchUnit(
-            Cache(arch.icache),
-            NativeMissPath(channel, arch.icache.line_bytes))
-        dcache = Cache(arch.dcache)
-        out = replay_ooo(static, trace, fetch_unit, dcache, channel,
-                         make_predictor(arch.predictor), arch, cap,
-                         compiled=compiled)
-        return out + (fetch_unit.icache.stats.accesses,
-                      fetch_unit.icache.stats.misses,
-                      dcache.stats.accesses, dcache.stats.misses)
-
-    @pytest.mark.parametrize("arch", ("4-issue", "8-issue"))
-    @pytest.mark.parametrize("cap", (7, 997, 4999))
-    def test_compiled_matches_generic(self, suite, arch, cap):
-        arch = ARCHS[arch]
-        fast = self.timing_state(suite, "pegwit", arch, cap, True)
-        slow = self.timing_state(suite, "pegwit", arch, cap, False)
-        assert fast == slow
-
-    def test_generic_matches_execute(self, suite):
-        # compiled=False is the oracle for the codegen; it must itself
-        # match the execute-driven model on a truncating cap.
-        program, static, _, trace = suite["pegwit"]
-        ref = simulate(program, ARCH_4_ISSUE, static=static,
-                       max_instructions=997)
-        generic = self.timing_state(suite, "pegwit", ARCH_4_ISSUE, 997,
-                                    False)
-        assert generic[0] == ref.cycles
-        assert generic[1] == ref.branch_lookups
-        assert generic[2] == ref.branch_mispredicts
-
-    def test_kernel_cached_on_trace(self, suite):
-        _, _, _, trace = suite["pegwit"]
-        self.timing_state(suite, "pegwit", ARCH_4_ISSUE, 997, True)
-        cached = trace._kernel
-        assert cached is not None
-        self.timing_state(suite, "pegwit", ARCH_8_ISSUE, 997, True)
-        assert trace._kernel is cached  # shared across architectures
-
-
 FAULTS = {
+    "empty_text": ".text 0x400000",
     "pc_escape": ".text 0x400000\naddiu $t0, $zero, 1",
     "misaligned_load":
         ".text 0x400000\nli $t0, 0x10000001\nlw $t1, 0($t0)",
     "unknown_syscall": ".text 0x400000\naddiu $v0, $zero, 99\nsyscall",
 }
+
+
+TRACE_FIELDS = ("n", "span_start", "span_len", "takens", "mem_addrs",
+                "out_pos", "out_text", "halted", "exit_code", "fault",
+                "max_instructions", "text_base", "program_sha")
+
+
+class TestTracePrefix:
+    """A trace cut at ``k`` is the trace recorded with cap ``k``."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, suite):
+        out = {}
+        for name in ("cc1", "pegwit"):
+            program, static, _, trace = suite[name]
+            out[name] = (program, static, trace)
+        program = assemble(FAULTS["misaligned_load"])
+        static = prepare(program)
+        out["misaligned_load"] = (program, static,
+                                  record_trace(program, static=static))
+        assert out["misaligned_load"][2].fault is not None
+        return out
+
+    def assert_prefix_is_recording(self, sources, name, k):
+        program, static, trace = sources[name]
+        got = trace_prefix(trace, static, k)
+        want = record_trace(program, static=static, max_instructions=k)
+        for field in TRACE_FIELDS:
+            g, w = getattr(got, field), getattr(want, field)
+            assert type(g) is type(w), (name, k, field)
+            assert g == w, (name, k, field)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prefix_equals_recording_at_cap(self, sources, data):
+        name = data.draw(st.sampled_from(sorted(sources)), label="bench")
+        n = sources[name][2].n
+        k = data.draw(st.integers(min_value=0, max_value=n - 1),
+                      label="k")
+        self.assert_prefix_is_recording(sources, name, k)
+
+    def test_prefix_at_boundaries(self, sources):
+        # The extremes and the instruction just past the first output
+        # event, where the kept output changes.
+        for name in sorted(sources):
+            trace = sources[name][2]
+            caps = {0, trace.n - 1}
+            if trace.out_pos:
+                caps.add(trace.out_pos[0] + 1)
+            for k in sorted(caps):
+                self.assert_prefix_is_recording(sources, name, k)
+
+    def test_prefix_memoised_on_trace(self, sources):
+        program, static, trace = sources["pegwit"]
+        first = trace_prefix(trace, static, 997)
+        assert trace_prefix(trace, static, 997) is first
 
 
 class TestFaultExactness:
@@ -247,6 +266,14 @@ class TestReplayContract:
                        max_instructions=100)
         got = simulate(program, ARCH_4_ISSUE, static=static, replay=short,
                        max_instructions=100)
+        assert result_state(ref) == result_state(got)
+
+    @pytest.mark.parametrize("cap", (0, -1))
+    def test_empty_cap_replays_nothing(self, suite, cap):
+        # A cap of zero or below runs no instruction, as the
+        # execute-driven model does.
+        ref, got = both(suite, "pegwit", ARCH_4_ISSUE, max_instructions=cap)
+        assert ref.instructions == 0
         assert result_state(ref) == result_state(got)
 
     def test_output_truncation_prefix(self, suite):

@@ -1,12 +1,15 @@
 """The persisted trace format and the SHA-keyed trace cache.
 
 :func:`save_trace` / :func:`load_trace` define a versioned, checksummed
-binary container; anything short of a whole, current-version,
-checksum-clean file must be rejected with :class:`TraceFormatError`.
+binary container (docs/FORMATS.md); anything short of a whole,
+current-version, checksum-clean, self-consistent file must be rejected
+with :class:`TraceFormatError`.
 :class:`TraceCache` layers content-addressed storage on top and must
 invalidate on program change and format-version bumps by construction.
 """
 
+import hashlib
+import json
 import os
 import struct
 
@@ -156,6 +159,76 @@ class TestRejection:
             pass
         with pytest.raises(TraceFormatError, match="not a trace file"):
             load_trace(path)
+
+
+def rewrite_header(path, resign=False, **changes):
+    """Change header fields of a saved trace in place.
+
+    The trailing SHA-256 is kept as it was (a file changed on disk) or,
+    with *resign*, recomputed (a consistent checksum over inconsistent
+    fields).
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    fixed = len(_MAGIC) + 8
+    version, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    header = json.loads(raw[fixed:fixed + header_len].decode("utf-8"))
+    header.update(changes)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join([_MAGIC, struct.pack("<II", version, len(blob)), blob,
+                     raw[fixed + header_len:-32]])
+    digest = hashlib.sha256(body).digest() if resign else raw[-32:]
+    with open(path, "wb") as handle:
+        handle.write(body + digest)
+
+
+def header_mutation(trace, field):
+    """A one-step change of *field*: what a flipped digit would do."""
+    if field == "out_text":
+        text = list(trace.out_text)
+        text[0] = ("1" if text[0][0] != "1" else "2") + text[0][1:]
+        return text
+    return getattr(trace, field) + 1
+
+
+class TestHeaderChecksum:
+    """The checksum covers the header, not just the arrays: a header
+    field changed on disk is rejected instead of replayed to a wrong
+    result, and fields that contradict the arrays are rejected even
+    under a matching checksum."""
+
+    @pytest.mark.parametrize("field", ("exit_code", "out_text", "n"))
+    def test_mutated_header_field(self, trace, tmp_path, field):
+        path = str(tmp_path / "t.trace")
+        save_trace(trace, path)
+        rewrite_header(path, **{field: header_mutation(trace, field)})
+        with pytest.raises(TraceFormatError, match="checksum"):
+            load_trace(path)
+
+    def test_n_must_match_spans(self, trace, tmp_path):
+        path = str(tmp_path / "t.trace")
+        save_trace(trace, path)
+        rewrite_header(path, resign=True, n=trace.n + 1)
+        with pytest.raises(TraceFormatError, match="spans hold"):
+            load_trace(path)
+
+    def test_output_counts_must_match(self, trace, tmp_path):
+        path = str(tmp_path / "t.trace")
+        save_trace(trace, path)
+        rewrite_header(path, resign=True,
+                       out_text=list(trace.out_text) + ["extra"])
+        with pytest.raises(TraceFormatError, match="output"):
+            load_trace(path)
+
+    def test_cache_rerecords_mutated_entry(self, program, trace, tmp_path):
+        cache = TraceCache(str(tmp_path))
+        cache.put(program, trace)
+        path = cache._path(cache.key(program, trace.max_instructions))
+        rewrite_header(path, exit_code=trace.exit_code + 1)
+        got = cache.get_or_record(program, static=prepare(program))
+        assert trace_state(got) == trace_state(trace)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert trace_state(load_trace(path)) == trace_state(trace)
 
 
 class TestTraceCache:

@@ -1,15 +1,17 @@
-"""Differential suite: vectorized group pricing vs the scalar oracle.
+"""Differential suite: vectorized group pricing vs the scalar engines.
 
 :mod:`repro.sim.vecreplay` promises that pricing a whole group of sweep
-cells through the NumPy column kernels returns exactly what the scalar
-``replay_inorder``/``replay_ooo`` engines produce cell by cell -- same
+cells through the NumPy column kernels returns exactly what
+:func:`repro.sim.machine.simulate` produces cell by cell -- same
 cycles, same cache/predictor statistics, same CodePack engine counters.
 These tests hold it to that across the paper's full Table 5-12 cell
 grid (all issue widths, native/CodePack/optimized modes, index-cache
-ablations), the cwf/prefetch ablation knobs, and truncation caps, and
-pin the vectorized profile builder against the scalar walk -- both on
-the real benchmark traces and on Hypothesis-generated random access
-streams and geometries.
+ablations) and the cwf/prefetch ablation knobs against scalar replay,
+hold truncation caps to the execute-driven model (scalar replay and
+the kernels share the trace-prefix code, so comparing the two would
+prove less), and pin the vectorized profile builder against the
+scalar walk -- both on the real benchmark traces and on
+Hypothesis-generated random access streams and geometries.
 """
 
 import pytest
@@ -135,9 +137,9 @@ class TestAblationKnobs:
     @pytest.mark.parametrize("cap", (1, 37, 997))
     def test_truncation_cap_priced_exactly(self, suite, cap):
         # A cap below the trace length truncates the stream: the
-        # kernels clip every event column to the prefix and report the
-        # truncated SimResult (instructions, stats, output, flags)
-        # exactly as the scalar truncating loops do.
+        # kernels price the trace's prefix and report the truncated
+        # SimResult (instructions, stats, output, flags) exactly as the
+        # execute-driven model does.
         program, static, image, trace = suite["cc1"]
         assert cap < trace.n
         priced = price(suite, "cc1", self.TRUNC_CELLS,
@@ -146,8 +148,7 @@ class TestAblationKnobs:
         for pos, (arch, codepack) in enumerate(self.TRUNC_CELLS):
             ref = simulate(program, arch, codepack=codepack,
                            image=image if codepack else None,
-                           static=static, replay=trace,
-                           max_instructions=cap)
+                           static=static, max_instructions=cap)
             got = priced[pos].to_dict()
             assert got["instructions"] == cap
             assert got == ref.to_dict(), (arch.name, codepack, cap)
@@ -205,8 +206,7 @@ class TestSharedBus:
         for pos, (a, codepack) in enumerate(cells):
             ref = simulate(program, a, codepack=codepack,
                            image=image if codepack else None,
-                           static=static, replay=trace,
-                           max_instructions=997)
+                           static=static, max_instructions=997)
             assert priced[pos].to_dict() == ref.to_dict()
 
 
@@ -342,7 +342,7 @@ class TestWorkbenchIntegration:
 class TestProfileBuilder:
     """build_profile_vec vs the scalar walk, field for field."""
 
-    FIELDS = ("fe_pos", "fe_flags", "fe_addr", "dmiss", "mp", "brk",
+    FIELDS = ("fe_pos", "fe_flags", "fe_addr", "dmiss", "brk",
               "icache_accesses", "icache_misses", "dcache_accesses",
               "dcache_misses", "lookups", "mispredicts",
               "final_cur_line")
@@ -413,7 +413,7 @@ class TestHypothesisProfiles:
 
 
 class TestHypothesisReplay:
-    """Random truncation caps x bus sharing vs the scalar engines."""
+    """Random truncation caps x bus sharing vs the execute-driven model."""
 
     @settings(max_examples=20, deadline=None)
     @given(cap=st.integers(min_value=1, max_value=4000),
@@ -433,7 +433,7 @@ class TestHypothesisReplay:
         assert sorted(priced) == [0]
         ref = simulate(program, arch, codepack=codepack,
                        image=image if codepack else None, static=static,
-                       replay=trace, max_instructions=cap)
+                       max_instructions=cap)
         assert priced[0].to_dict() == ref.to_dict()
 
 
