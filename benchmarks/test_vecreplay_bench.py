@@ -1,23 +1,24 @@
 """Vectorized-replay benchmark: full sweep priced by column kernels.
 
 Runs the full paper sweep (every exhibit's cells, 309 at scale 0.1) on
-one worker through the PR 4 scalar replay path (``vec=False``) and
-through the vectorized column kernels (``vec=True``), interleaved for
-:data:`REPS` repetitions, and pins the wall-clock contract that the
-vector backend wins by at least :data:`VEC_SPEEDUP_FLOOR` (override
-with the ``VEC_SPEEDUP_FLOOR`` environment variable).
+one worker two ways -- every cell alone through ``Workbench.run`` (the
+scalar stream kernel) and the whole grid through
+``Workbench.prefetch`` (the vectorized column kernels, narrow passes
+routed to the stream kernel) -- interleaved for :data:`REPS`
+repetitions, and pins the wall-clock contract that the vector backend
+wins by at least :data:`VEC_SPEEDUP_FLOOR` (override with the
+``VEC_SPEEDUP_FLOOR`` environment variable).
 
-Methodology: both paths share the PR 4 functional infrastructure --
+Methodology: both arms share the functional infrastructure --
 built programs, compressed images, predecoded text, recorded traces,
 the replay table and the flat dynamic op list -- so those are prepared
 once, un-timed, and injected into each measured Workbench.  Everything
-the two paths compute *differently* stays inside the timed region and
-is re-cooled before every repetition: cache/predictor profiles
-(scalar walk vs column scan), the scalar replay kernels, and the
-vec-only trace columns and dependency vectors (the "cold trace-column
-cache" of the contract).  The score is min-of-reps over min-of-reps,
-which suppresses scheduler noise without averaging away a true
-regression.
+the two arms compute per sweep stays inside the timed region and is
+re-cooled before every repetition: cache/predictor profiles (built the
+same way by both arms), the stream kernels, and the vec-only trace
+columns and dependency vectors (the "cold trace-column cache" of the
+contract).  The score is min-of-reps over min-of-reps, which
+suppresses scheduler noise without averaging away a true regression.
 
 The report lands in ``BENCH_vecreplay.json`` so CI uploads it as an
 artifact::
@@ -27,10 +28,6 @@ artifact::
 
 import os
 import time
-
-import pytest
-
-pytest.importorskip("numpy")
 
 from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
 from repro.eval.runner import Workbench
@@ -52,8 +49,8 @@ SWEEP_SCALE = 0.1
 REPS = 3
 
 #: Per-trace memo slots that belong to the timed region: profiles are
-#: computed differently by the two paths, and the column/dependency
-#: caches are the vec backend's own cost.  The flat dynamic op list
+#: part of every sweep's cost, and the column/dependency caches are the
+#: vec backend's own cost.  The flat dynamic op list
 #: (``_dyn``) stays warm -- it is PR 4 functional infrastructure shared
 #: verbatim by both.
 _TIMED_MEMOS = ("_profiles", "_columns", "_vdeps", "_vkinds")
@@ -72,22 +69,27 @@ def _cool_traces(wb):
                 pass
 
 
-def _timed_sweep(base, cells, vec):
-    """Time one full prefetch over *cells* with shared artifacts warm."""
-    wb = Workbench(scale=SWEEP_SCALE, jobs=1, vec=vec)
+def _timed_sweep(base, cells, per_cell):
+    """Time pricing *cells* with shared artifacts warm: one prefetch,
+    or with *per_cell* each cell alone through ``run``."""
+    wb = Workbench(scale=SWEEP_SCALE, jobs=1)
     wb._programs = dict(base._programs)
     wb._images = dict(base._images)
     wb._static = dict(base._static)
     wb._traces = dict(base._traces)
     _cool_traces(wb)
     begin = time.perf_counter()
-    wb.prefetch(cells)
+    if per_cell:
+        for cell in cells:
+            wb.run(*cell)
+    else:
+        wb.prefetch(cells)
     return time.perf_counter() - begin, wb
 
 
 def test_full_sweep_vec_speedup():
     """Column kernels must beat per-cell scalar replay on the sweep."""
-    base = Workbench(scale=SWEEP_SCALE, jobs=1, vec=False)
+    base = Workbench(scale=SWEEP_SCALE, jobs=1)
     cells = list(sweep_cells(list(ALL_EXPERIMENTS), wb=base))
     for bench in sorted({c[0] for c in cells}):
         static = base.static(bench)
@@ -98,9 +100,9 @@ def test_full_sweep_vec_speedup():
     scalar_times, vec_times = [], []
     scalar_wb = vec_wb = None
     for _ in range(REPS):
-        seconds, scalar_wb = _timed_sweep(base, cells, vec=False)
+        seconds, scalar_wb = _timed_sweep(base, cells, per_cell=True)
         scalar_times.append(seconds)
-        seconds, vec_wb = _timed_sweep(base, cells, vec=True)
+        seconds, vec_wb = _timed_sweep(base, cells, per_cell=False)
         vec_times.append(seconds)
 
     # The backends must agree cell-for-cell before any speed claim,

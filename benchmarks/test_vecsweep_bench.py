@@ -29,8 +29,6 @@ import time
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
 from repro.eval.runner import Workbench
 from repro.eval.sweep import partition_cells_vec, run_batches
@@ -63,7 +61,7 @@ def warmed(tmp_path_factory):
     """Cells plus a pre-warmed shared trace cache, built once."""
     trace_dir = str(tmp_path_factory.mktemp("traces"))
     base = Workbench(scale=SWEEP_SCALE, jobs=1, replay=True,
-                     trace_cache=trace_dir, vec=True)
+                     trace_cache=trace_dir)
     cells = list(sweep_cells(list(ALL_EXPERIMENTS), wb=base))
     for bench in sorted({c[0] for c in cells}):
         base.trace(bench)  # records once into the shared cache
@@ -75,8 +73,7 @@ def _timed_pool_sweep(base, cells, trace_dir, jobs):
     begin = time.perf_counter()
     results = run_batches(cells, scale=SWEEP_SCALE,
                           max_instructions=base.max_instructions,
-                          jobs=jobs, replay=True, trace_dir=trace_dir,
-                          vec=True)
+                          jobs=jobs, replay=True, trace_dir=trace_dir)
     return time.perf_counter() - begin, results
 
 

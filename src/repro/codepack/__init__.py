@@ -33,11 +33,7 @@ paper reports in Tables 3 and 4:
 #: (see :mod:`repro.eval.sweep`) are invalidated.
 CODEC_VERSION = 1
 
-from repro.codepack.batch import (
-    compress_many,
-    compress_words_parallel,
-    decompress_many,
-)
+from repro.codepack.batch import compress_many, decompress_many
 from repro.codepack.bitstream import BitReader, BitWriter
 from repro.codepack.codewords import (
     HIGH_SCHEME,
@@ -90,7 +86,6 @@ __all__ = [
     "compress_many",
     "compress_program",
     "compress_program_reference",
-    "compress_words_parallel",
     "compress_words_reference",
     "decompress_block",
     "decompress_block_reference",

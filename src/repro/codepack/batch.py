@@ -1,286 +1,59 @@
-"""Batch compression/decompression over a worker pool.
+"""Batch compression/decompression: one vectorized kernel call per batch.
 
 The eval harness compresses six benchmark programs (and the ablation
-sweeps recompress them dozens of times with varied geometry); this
-module fans that work out across a :mod:`concurrent.futures` pool.
-
-Parallel granularity is the **compression group**: dictionaries are
-built up front (they are a global property of the program), then runs
-of ``group_blocks`` blocks are encoded independently -- block encodings
-never reference each other, only the final byte offsets do, and those
-are fixed up sequentially after the fan-out.  Decompression fans out
-the same way.
-
-Everything falls back to plain sequential execution when no pool is
-available (``max_workers <= 1``, a pool that cannot be created in the
-current environment, or a worker failure mid-flight), so callers never
-need to care whether the fan-out actually happened; results are
-bit-identical either way, which the batch tests assert.
-
-When NumPy is importable, the batch entry points route through the
-vectorized kernels in :mod:`repro.codepack.veccodec` instead of the
-scalar fast path -- one kernel invocation per batch rather than one
-Python loop iteration per codeword.  The ``vec`` parameter mirrors the
-:class:`~repro.eval.runner.Workbench` gating: ``None`` auto-detects,
-``True`` requires NumPy, ``False`` forces the scalar tier.  Outputs are
-bit-identical in every mode (the three-way differential suite asserts
-it), so the choice is purely a throughput knob.
+sweeps recompress them dozens of times with varied geometry), and the
+serve tier decodes windows of compression groups that may span several
+images.  Each entry point here hands its whole batch to the vectorized
+kernels of :mod:`repro.codepack.veccodec` in one call -- one kernel
+invocation per batch rather than one Python loop iteration per
+codeword.  Outputs are byte-identical to the scalar codec (the
+three-way differential suite asserts it).
 """
 
-import concurrent.futures
-
 from repro.codepack import veccodec
-from repro.codepack.codewords import HIGH_SCHEME, LOW_SCHEME
-from repro.codepack.compressor import (
-    BLOCK_INSTRUCTIONS,
-    GROUP_BLOCKS,
-    BlockInfo,
-    CodePackImage,
-)
-from repro.codepack.decompressor import decompress_block
-from repro.codepack.dictionary import build_dictionaries
-from repro.codepack.fastcodec import BlockEncoder
-from repro.codepack.reference import build_index_entries
-from repro.codepack.stats import CompositionStats
-from repro.isa.encoding import INSTRUCTION_BYTES
 
-__all__ = ["compress_many", "decompress_many", "compress_words_parallel",
-           "decode_groups_batch", "use_vec"]
+__all__ = ["compress_many", "decompress_many", "decode_groups_batch"]
 
 
-def use_vec(vec):
-    """Resolve the tri-state ``vec`` flag against NumPy availability.
-
-    ``None`` auto-detects, ``True`` demands the vectorized kernels (and
-    raises if NumPy is missing), ``False`` forces the scalar tier.
-    """
-    if vec is None:
-        return veccodec.available()
-    if vec and not veccodec.available():
-        raise RuntimeError("vec=True requires NumPy; install the "
-                           "'perf' extra or pass vec=None/False")
-    return bool(vec)
-
-
-def _encode_group(encoder, words, block_instructions):
-    """Encode one compression group's worth of words into block parts."""
-    return [encoder.encode_block(words[start:start + block_instructions])
-            for start in range(0, len(words), block_instructions)]
-
-
-def _map_maybe_parallel(func, items, max_workers, executor=None):
-    """Order-preserving map over *items*, pooled when possible.
-
-    Returns the mapped list; any pool-infrastructure failure (inability
-    to spawn threads in a constrained environment, or an *executor*
-    that has already been shut down) degrades to the sequential path.
-    Exceptions raised by *func* itself propagate unchanged in all modes.
-
-    An injected *executor* takes precedence over *max_workers*: it is
-    used as-is and never shut down here, so long-lived callers (the
-    serving layer, repeated sweeps) amortize pool startup across calls.
-    """
-    if executor is not None and len(items) > 1:
-        try:
-            return list(executor.map(func, items))
-        except RuntimeError:
-            # Executor already shut down: fall through to the local
-            # policy below rather than failing the whole map.
-            pass
-    if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    try:
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
-    except (OSError, RuntimeError):
-        return [func(item) for item in items]
-    with pool:
-        return list(pool.map(func, items))
-
-
-def compress_words_parallel(words, text_base=0, name="program",
-                            high_scheme=None, low_scheme=None,
-                            block_instructions=BLOCK_INSTRUCTIONS,
-                            group_blocks=GROUP_BLOCKS,
-                            high_dict=None, low_dict=None,
-                            max_workers=None, executor=None, vec=None):
-    """Like :func:`~repro.codepack.compressor.compress_words`, but with
-    the whole-program encode handed to the vectorized kernel (or, on
-    the scalar tier, the per-group block encoding fanned out across a
-    worker pool).
-
-    Bit-identical to the sequential compressor for any *max_workers*
-    and either *vec* setting.  Passing a long-lived *executor* reuses
-    it instead of building a fresh pool per call (it is never shut down
-    here).
-    """
-    if use_vec(vec):
-        return veccodec.compress_words_vec(
-            words, text_base=text_base, name=name,
-            high_scheme=high_scheme, low_scheme=low_scheme,
-            block_instructions=block_instructions,
-            group_blocks=group_blocks,
-            high_dict=high_dict, low_dict=low_dict)
-    high_scheme = high_scheme or HIGH_SCHEME
-    low_scheme = low_scheme or LOW_SCHEME
-    if high_dict is None or low_dict is None:
-        built_high, built_low = build_dictionaries(
-            words, high_scheme=high_scheme, low_scheme=low_scheme)
-        high_dict = high_dict or built_high
-        low_dict = low_dict or built_low
-    encoder = BlockEncoder(high_scheme, low_scheme, high_dict, low_dict)
-
-    group_words = group_blocks * block_instructions
-    groups = [words[start:start + group_words]
-              for start in range(0, len(words), group_words)]
-    encoded_groups = _map_maybe_parallel(
-        lambda chunk: _encode_group(encoder, chunk, block_instructions),
-        groups, max_workers, executor=executor)
-
-    blocks = []
-    chunks = []
-    ct = di = rt = rb = pad = 0
-    offset = 0
-    for group in encoded_groups:
-        for data, is_raw, end_bits, block_stats in group:
-            blocks.append(BlockInfo(
-                index=len(blocks),
-                byte_offset=offset,
-                byte_length=len(data),
-                is_raw=is_raw,
-                n_instructions=len(end_bits),
-                inst_end_bits=end_bits,
-            ))
-            chunks.append(data)
-            ct += block_stats[0]
-            di += block_stats[1]
-            rt += block_stats[2]
-            rb += block_stats[3]
-            pad += block_stats[4]
-            offset += len(data)
-
-    index_entries = build_index_entries(blocks, group_blocks)
-    stats = CompositionStats(
-        index_table_bits=len(index_entries) * 32,
-        dictionary_bits=high_dict.storage_bits + low_dict.storage_bits,
-        compressed_tag_bits=ct,
-        dictionary_index_bits=di,
-        raw_tag_bits=rt,
-        raw_bits=rb,
-        pad_bits=pad,
-    )
-
-    return CodePackImage(
-        name=name,
-        text_base=text_base,
-        n_instructions=len(words),
-        high_dict=high_dict,
-        low_dict=low_dict,
-        index_entries=index_entries,
-        code_bytes=b"".join(chunks),
-        blocks=blocks,
-        stats=stats,
-        original_bytes=len(words) * INSTRUCTION_BYTES,
-        high_scheme=high_scheme,
-        low_scheme=low_scheme,
-        block_instructions=block_instructions,
-        group_blocks=group_blocks,
-    )
-
-
-def compress_many(programs, max_workers=None, executor=None, vec=None,
-                  **kwargs):
+def compress_many(programs, **kwargs):
     """Compress several programs; returns images in input order.
 
     *programs* may be :class:`~repro.isa.program.Program` objects or
-    plain lists of instruction words.  With NumPy present (see
-    :func:`use_vec`) the batch goes through the vectorized kernels --
-    one fused encode pass per batch when the batch shares dictionaries,
-    one kernel invocation per program otherwise.  On the scalar tier,
-    ``max_workers > 1`` compresses the programs concurrently (and each
-    program's group encoding additionally fans out);
-    ``max_workers=None`` picks a sequential, deterministic default.  An
-    injected *executor* fans the per-program work out over a
-    caller-owned pool instead (and is left running for the next call).
-    Keyword arguments are forwarded to the compressor.
+    plain lists of instruction words.  The batch runs one fused encode
+    pass when it shares dictionaries, one kernel invocation per program
+    otherwise.  Keyword arguments are forwarded to
+    :func:`~repro.codepack.veccodec.compress_many_vec`.
     """
-    if use_vec(vec):
-        return veccodec.compress_many_vec(list(programs), **kwargs)
-
-    def _compress(item):
-        if hasattr(item, "text"):
-            return compress_words_parallel(
-                item.text, text_base=item.text_base, name=item.name,
-                max_workers=None, vec=False, **kwargs)
-        return compress_words_parallel(item, max_workers=None, vec=False,
-                                       **kwargs)
-
-    return _map_maybe_parallel(_compress, list(programs), max_workers,
-                               executor=executor)
+    return veccodec.compress_many_vec(list(programs), **kwargs)
 
 
-def decompress_many(images, max_workers=None, executor=None, vec=None):
+def decompress_many(images):
     """Decompress several images; returns word lists in input order.
 
-    With NumPy present the whole batch decodes in one vectorized kernel
-    pass (every compressed block is a lane).  The scalar tier fans the
-    per-block decodes of each image out across the pool; both mirror
-    :func:`~repro.codepack.decompressor.decompress_program`, including
-    its instruction-count integrity check.  An injected *executor* is
-    reused across calls (the serving layer passes one pool for the
-    process lifetime).
+    The whole batch decodes in one vectorized kernel pass (every
+    compressed block is a lane), mirroring
+    :func:`~repro.codepack.decompressor.decompress_program` including
+    its instruction-count integrity check.
     """
-    from repro.codepack.errors import DecompressionError
-
-    if use_vec(vec):
-        return veccodec.decompress_many_vec(list(images))
-
-    def _decompress(image):
-        block_words = _map_maybe_parallel(
-            lambda index: decompress_block(image, index),
-            list(range(image.n_blocks)), None)
-        words = [word for block in block_words for word in block]
-        if len(words) != image.n_instructions:
-            raise DecompressionError(
-                "decoded %d instructions, expected %d"
-                % (len(words), image.n_instructions))
-        return words
-
-    return _map_maybe_parallel(_decompress, list(images), max_workers,
-                               executor=executor)
+    return veccodec.decompress_many_vec(list(images))
 
 
-def decode_groups_batch(requests, vec=None):
+def decode_groups_batch(requests):
     """Decode many ``(image, group_index)`` pairs; one kernel pass.
 
     The serve tier's micro-batcher collects a window of group decodes
     (possibly spanning several registered images) and hands them here
-    as one batch.  With NumPy present all groups decode in a single
-    vectorized pass over the concatenated bitstreams; otherwise each
-    group goes through the scalar fast path.
+    as one batch; all groups decode in a single vectorized pass over
+    the concatenated bitstreams.
 
     Returns one entry per request: the group's instruction words as a
     tuple, or the exception that group's decode raised (captured, not
     raised, so one corrupt group cannot fail a whole batch).
     """
-    requests = list(requests)
-    if use_vec(vec):
-        block_sets = []
-        for image, group_index in requests:
-            first = group_index * image.group_blocks
-            last = min(first + image.group_blocks, image.n_blocks)
-            block_sets.append((image, range(first, last)))
-        return [result if isinstance(result, Exception) else tuple(result)
-                for result in veccodec.decode_block_sets_vec(block_sets)]
-
-    out = []
+    block_sets = []
     for image, group_index in requests:
         first = group_index * image.group_blocks
         last = min(first + image.group_blocks, image.n_blocks)
-        try:
-            words = []
-            for block in range(first, last):
-                words.extend(decompress_block(image, block))
-            out.append(tuple(words))
-        except Exception as exc:
-            out.append(exc)
-    return out
+        block_sets.append((image, range(first, last)))
+    return [result if isinstance(result, Exception) else tuple(result)
+            for result in veccodec.decode_block_sets_vec(block_sets)]

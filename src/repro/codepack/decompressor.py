@@ -18,11 +18,6 @@ test harness.
 
 from repro.codepack.errors import DecompressionError
 from repro.codepack.fastcodec import BlockDecoder, decode_raw_block
-from repro.codepack.reference import decode_halfword_reference
-
-#: Backwards-compatible alias: the per-bit halfword decoder now lives in
-#: :mod:`repro.codepack.reference`.
-_decode_halfword = decode_halfword_reference
 
 __all__ = [
     "DecompressionError",

@@ -21,12 +21,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.codepack.codewords import RAW_CODEWORD_BITS, slot_widths
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # NumPy is optional everywhere in this package
-    _np = None
+from repro.codepack.codewords import RAW_CODEWORD_BITS, slot_widths
 
 #: Bits each dictionary slot occupies in the compressed image.
 DICTIONARY_ENTRY_BITS = 16
@@ -142,22 +139,14 @@ def halfword_histograms(words):
     The fast path reinterprets the words as packed 16-bit halves and
     histograms each stream with ``np.bincount`` over the full 2^16
     symbol space -- one C pass per dictionary, no per-symbol hashing.
-    Without NumPy the :mod:`array` reinterpretation still splits the
-    halves in C and :class:`Counter` does the counting; out-of-range
-    words (or platforms with unusual C-int sizes) fall back to the
+    Out-of-range words (or platforms with unusual C-int sizes) take the
     generator path, which masks exactly like the reference encoder.
-    All three tiers produce identical histograms.
+    Both paths produce identical histograms.
     """
     packed = _pack_words(words)
     if packed is not None:
-        if _np is not None and len(packed):
-            high, low = _split_halves(packed)
-            return (_bincount_histogram(high),
-                    _bincount_histogram(low))
-        halves = array.array("H", packed.tobytes())
-        if sys.byteorder == "little":
-            return Counter(halves[1::2]), Counter(halves[0::2])
-        return Counter(halves[0::2]), Counter(halves[1::2])
+        high, low = _split_halves(packed)
+        return _bincount_histogram(high), _bincount_histogram(low)
     high = Counter((word >> 16) & 0xFFFF for word in words)
     low = Counter(word & 0xFFFF for word in words)
     return high, low
@@ -207,29 +196,27 @@ def build_dictionary(scheme, histogram):
 def build_dictionaries(words, high_scheme=None, low_scheme=None):
     """Build the (high, low) dictionary pair for a ``.text`` section.
 
-    With NumPy the whole pipeline -- halfword split, histogram,
-    frequency ranking -- runs as array kernels; otherwise the
-    histogram/:func:`build_dictionary` path serves, with identical
-    output either way.
+    The whole pipeline -- halfword split, histogram, frequency ranking
+    -- runs as array kernels.  Words the packed view cannot hold take
+    the histogram/:func:`build_dictionary` path, with identical output.
     """
     from repro.codepack.codewords import HIGH_SCHEME, LOW_SCHEME
 
     high_scheme = high_scheme or HIGH_SCHEME
     low_scheme = low_scheme or LOW_SCHEME
-    if _np is not None:
-        packed = _pack_words(words)
-        if packed is not None and len(packed):
-            high, low = _split_halves(packed)
-            return (
-                Dictionary(scheme=high_scheme,
-                           entries=_admit(high_scheme,
-                                          _ranked_vectorized(high_scheme,
-                                                             high))),
-                Dictionary(scheme=low_scheme,
-                           entries=_admit(low_scheme,
-                                          _ranked_vectorized(low_scheme,
-                                                             low))),
-            )
+    packed = _pack_words(words)
+    if packed is not None:
+        high, low = _split_halves(packed)
+        return (
+            Dictionary(scheme=high_scheme,
+                       entries=_admit(high_scheme,
+                                      _ranked_vectorized(high_scheme,
+                                                         high))),
+            Dictionary(scheme=low_scheme,
+                       entries=_admit(low_scheme,
+                                      _ranked_vectorized(low_scheme,
+                                                         low))),
+        )
     high_hist, low_hist = halfword_histograms(words)
     return (build_dictionary(high_scheme, high_hist),
             build_dictionary(low_scheme, low_hist))

@@ -37,15 +37,16 @@ byte-identical ``.cpk`` artifacts, ``repro.codepack.reference`` stays
 the oracle and :mod:`~repro.codepack.fastcodec` the scalar mid-tier.
 Lanes that decode to an error or overrun (possible only on malformed
 input) are re-run through the scalar decoder so exception types and
-messages match exactly.  NumPy is optional: this module imports without
-it and :func:`available` gates the fast path (callers in
-:mod:`repro.codepack.batch` fall back to the scalar tier).
+messages match exactly.  :mod:`repro.codepack.batch` exposes the batch
+kernels as one call each.
 
 The three-way differential harness (``tests/codepack/test_veccodec.py``)
 asserts byte-identical images and word-identical decodes across
 reference / fastcodec / veccodec on the workload corpus, adversarial
 shapes, Hypothesis-generated programs and the golden fixtures.
 """
+
+import numpy as np
 
 from repro.codepack.codewords import (
     HIGH_SCHEME,
@@ -70,13 +71,7 @@ from repro.codepack.reference import build_index_entries
 from repro.codepack.stats import CompositionStats
 from repro.isa.encoding import INSTRUCTION_BYTES
 
-try:  # pragma: no cover - exercised by the no-NumPy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 __all__ = [
-    "available",
     "compress_words_vec",
     "compress_many_vec",
     "decompress_program_vec",
@@ -92,11 +87,6 @@ _TABLE_LEN = 1 << DECODE_LOOKUP_BITS
 #: past the last codeword stay in bounds (the scalar decoder's
 #: ``acc << -shift`` zero-fill, in array form).
 _PAD_BYTES = 8
-
-
-def available():
-    """Whether the vectorized codec can run (NumPy importable)."""
-    return np is not None
 
 
 # -- encode tables -----------------------------------------------------------

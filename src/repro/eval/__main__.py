@@ -13,21 +13,18 @@ Sweep acceleration::
     python -m repro.eval all --cache       # persist results (.repro_cache/)
     python -m repro.eval all --cache /tmp/c --clear-cache
     python -m repro.eval all --stats --timing-json timings.json
-    python -m repro.eval all --no-vec      # force scalar replay
 
-The vectorized backend (``--vec``, default-on when NumPy is
-importable) prices the sweep grid in columnar trace passes -- the
-cells of one benchmark that share a pipeline shape make one pass.  A
-pass too narrow to beat per-cell scalar replay is routed to it.
-``--jobs N`` composes with it: the sweep
-partitions whole kernel groups (not benchmarks) across the worker
-processes and shares each benchmark's recorded trace through the
-trace cache, so every worker runs column kernels on its slice of the
-grid rather than pricing cells one at a time.  On a multi-core host
-prefer ``--jobs auto`` (one worker per CPU) together with the default
-``--vec``; on a single CPU ``--jobs 1`` already gets the full
-columnar speedup.  ``--stats`` / ``--stats-json`` include the routed
-cell count and a decline histogram -- on the default grid the
+The vectorized replay backend prices the sweep grid in columnar trace
+passes -- the cells of one benchmark that share a pipeline shape make
+one pass.  A pass too narrow to beat per-cell scalar replay is routed
+to it.  ``--jobs N`` composes with it: the sweep partitions whole
+kernel groups (not benchmarks) across the worker processes and shares
+each benchmark's recorded trace through the trace cache, so every
+worker runs column kernels on its slice of the grid rather than
+pricing cells one at a time.  On a multi-core host prefer ``--jobs
+auto`` (one worker per CPU); on a single CPU ``--jobs 1`` already gets
+the full columnar speedup.  ``--stats`` / ``--stats-json`` include the
+routed cell count and a decline histogram -- on the default grid the
 histogram is empty, so any entry means some cells the kernels should
 price fell back to scalar replay.
 """
@@ -78,8 +75,7 @@ def profile_hottest(wb):
     profiler = cProfile.Profile()
     profiler.enable()
     simulate(program, arch, codepack=codepack, image=image, static=static,
-             max_instructions=wb.max_instructions, replay=replay,
-             vec=wb.vec)
+             max_instructions=wb.max_instructions, replay=replay)
     profiler.disable()
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
 
@@ -145,14 +141,6 @@ def main(argv=None):
                              "(suffixes K/M/G allowed); least-recently-used "
                              "traces are pruned after each store "
                              "(default: unbounded)")
-    parser.add_argument("--vec", dest="vec", action="store_true",
-                        default=None,
-                        help="price cell groups with the NumPy column "
-                             "kernels (default: on when NumPy is "
-                             "importable; cycle-exact either way)")
-    parser.add_argument("--no-vec", dest="vec", action="store_false",
-                        help="force per-cell scalar replay even when NumPy "
-                             "is available")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the hottest cell (the largest "
                              "uncached simulation) and print the top-20 "
@@ -194,13 +182,9 @@ def main(argv=None):
             cache_limit = parse_size(cache_limit)
         except ValueError as exc:
             parser.error(str(exc))
-    try:
-        wb = Workbench(scale=args.scale, cache=args.cache, jobs=jobs,
-                       replay=args.replay, trace_cache=args.trace_cache,
-                       trace_cache_limit=limit, vec=args.vec,
-                       cache_limit=cache_limit)
-    except RuntimeError as exc:  # --vec without NumPy
-        parser.error(str(exc))
+    wb = Workbench(scale=args.scale, cache=args.cache, jobs=jobs,
+                   replay=args.replay, trace_cache=args.trace_cache,
+                   trace_cache_limit=limit, cache_limit=cache_limit)
     if args.clear_cache:
         wb.cache.clear()
 

@@ -58,19 +58,19 @@ class Workbench:
       (LRU-pruned after each store); ``None`` = unbounded.
     * ``cache_limit`` -- byte cap for the persistent result cache
       (LRU-pruned after each store, mtime order); ``None`` = unbounded.
-    * ``vec`` -- default ``None``: price sweep cells with the
-      vectorized replay backend (:mod:`repro.sim.vecreplay`) whenever
-      NumPy is importable.  Passes too narrow for the column kernels
-      to pay are routed to scalar replay per cell, as are cells the
-      kernels cannot serve.  ``False`` forces the scalar path
-      everywhere; ``True`` requires NumPy.  Either way every result is
-      identical -- the backends are cycle-exact against each other --
-      so memo and cache keys do not depend on this switch.
+
+    With replay on, :meth:`prefetch` prices cells with the vectorized
+    replay backend (:mod:`repro.sim.vecreplay`); passes too narrow for
+    the column kernels to pay are routed to the scalar stream kernel
+    per cell, as are cells the kernels cannot serve.  :meth:`run`
+    prices a lone cell on the stream kernel.  The backends are
+    cycle-exact against each other, so every result -- and every memo
+    and cache key -- is the same whichever one priced it.
     """
 
     def __init__(self, scale=1.0, max_instructions=5_000_000, cache=None,
                  jobs=1, replay=True, trace_cache=None,
-                 trace_cache_limit=None, vec=None, cache_limit=None):
+                 trace_cache_limit=None, cache_limit=None):
         self.scale = scale
         self.max_instructions = max_instructions
         self.jobs = resolve_jobs(jobs)
@@ -90,12 +90,6 @@ class Workbench:
                 and trace_cache_limit is not None:
             trace_cache.limit_bytes = int(trace_cache_limit)
         self.trace_cache = trace_cache if replay else None
-        if vec is None:
-            vec = vecreplay.available()
-        elif vec and not vecreplay.available():
-            raise RuntimeError("vec=True requires NumPy; install the "
-                               "'perf' extra or pass vec=None/False")
-        self.vec = bool(vec)
         self.stats = SweepStats()
         self._programs = {}
         self._images = {}
@@ -194,7 +188,7 @@ class Workbench:
                 program, arch, codepack=codepack, image=image,
                 static=static,
                 max_instructions=self.max_instructions,
-                replay=replay, vec=self.vec)
+                replay=replay)
         self.stats.sim_runs += 1
         self.stats.note_backend(
             "%s/%s/%s" % (bench, arch.name, result.mode), "scalar")
@@ -284,7 +278,7 @@ class Workbench:
                 # (reusing this process's built programs and images
                 # beats a single-worker pool).
                 scalar_cells = todo
-                if self.vec and self.replay:
+                if self.replay:
                     scalar_cells = self._prefetch_vec(todo)
                 for cell in scalar_cells:
                     self._store(cell, self._simulate_cell(*cell))
@@ -299,8 +293,7 @@ class Workbench:
                     self.trace(bench)
             results = run_batches(todo, self.scale, self.max_instructions,
                                   self.jobs, stats=self.stats,
-                                  replay=self.replay, trace_dir=trace_dir,
-                                  vec=self.vec)
+                                  replay=self.replay, trace_dir=trace_dir)
             for cell, result in results.items():
                 self._store(cell, result)
         return len(todo)

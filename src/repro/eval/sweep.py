@@ -491,8 +491,7 @@ def partition_cells_vec(cells, jobs):
     return [b for b in batches if b]
 
 
-def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
-               vec=None):
+def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
     """Pool worker: simulate one batch of cells.
 
     Programs, predecoded text and compressed images are rebuilt in the
@@ -507,11 +506,10 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
     With ``replay`` on, each benchmark's functional trace is recorded
     (or loaded from the :class:`~repro.sim.replay.TraceCache` under
     *trace_dir* -- the parent pre-warms it, so workers share one
-    recording) once, and every cell runs the timing-only replay engine
-    over it -- identical results, a fraction of the work.  With ``vec``
-    on (default: on when NumPy is importable), the whole batch prices
-    through :func:`repro.sim.vecreplay.price_grid` in one invocation;
-    whatever it routes or declines runs on scalar replay.
+    recording) once, and the whole batch prices over it through
+    :func:`repro.sim.vecreplay.price_grid` in one invocation --
+    identical results, a fraction of the work.  Whatever it routes or
+    declines runs on scalar replay.
     """
     trace_cache = None
     if replay and trace_dir is not None:
@@ -545,16 +543,15 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
     vec_results = {}
     declines = {}
     routes = {}
-    if replay and (vec or vec is None):
+    if replay:
         from repro.sim import vecreplay
-        if vecreplay.available():
-            benches = {bench: (programs[bench], statics[bench],
-                               trace_for(bench), images.get(bench))
-                       for bench in programs}
-            vec_results = vecreplay.price_grid(
-                benches, [(b, a, cp) for b, a, cp in cells],
-                max_instructions=max_instructions, declines=declines,
-                routes=routes)
+        benches = {bench: (programs[bench], statics[bench],
+                           trace_for(bench), images.get(bench))
+                   for bench in programs}
+        vec_results = vecreplay.price_grid(
+            benches, [(b, a, cp) for b, a, cp in cells],
+            max_instructions=max_instructions, declines=declines,
+            routes=routes)
 
     out = []
     for pos, (bench, arch, codepack) in enumerate(cells):
@@ -565,24 +562,23 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None,
         result = simulate(programs[bench], arch, codepack=codepack,
                           image=images.get(bench), static=statics[bench],
                           max_instructions=max_instructions,
-                          replay=trace_for(bench) if replay else None,
-                          vec=vec)
+                          replay=trace_for(bench) if replay else None)
         out.append((result.to_dict(), "scalar"))
     return {"results": out, "declines": declines,
             "routed": sum(routes.values())}
 
 
 def run_batches(cells, scale, max_instructions, jobs, stats=None,
-                replay=False, trace_dir=None, vec=None):
+                replay=False, trace_dir=None):
     """Run *cells* across a process pool; returns ``{cell: SimResult}``.
 
     ``cells`` is a sequence of ``(bench, arch, codepack)`` triples
     (hashable: the configs are frozen dataclasses).  Cache lookups and
     stores are the caller's business -- workers never touch the cache,
     so concurrent sweeps cannot race on files beyond the atomic
-    replace.  ``replay``/``trace_dir``/``vec`` select the trace-replay
-    fast path and the vectorized cell-group pricing in the workers
-    (see :func:`_run_batch`).
+    replace.  ``replay``/``trace_dir`` select the trace-replay fast
+    path, with vectorized cell-group pricing, in the workers (see
+    :func:`_run_batch`).
     """
     cells = list(cells)
     if not cells:
@@ -605,17 +601,12 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
             stats.note_declines(payload["declines"])
             stats.vec_routed += payload["routed"]
 
-    use_vec_partition = False
-    if replay and (vec or vec is None):
-        from repro.sim import vecreplay
-        use_vec_partition = vecreplay.available()
-
     results = {}
     if jobs == 1 or len(cells) == 1:
         scalar = 0
         for batch in partition_cells(cells, 1):
             payload = _run_batch(scale, max_instructions, batch,
-                                 replay=replay, trace_dir=trace_dir, vec=vec)
+                                 replay=replay, trace_dir=trace_dir)
             note_unpriced(payload)
             for cell, entry in zip(batch, payload["results"]):
                 if record(cell, entry) == "scalar":
@@ -623,7 +614,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
         if stats is not None:
             stats.sim_runs += scalar
         return results
-    if use_vec_partition:
+    if replay:
         batches = partition_cells_vec(cells, jobs)
     else:
         batches = partition_cells(cells, jobs)
@@ -632,7 +623,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
         stats.parallel_batches += len(batches)
     with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
         futures = {pool.submit(_run_batch, scale, max_instructions, batch,
-                               replay, trace_dir, vec):
+                               replay, trace_dir):
                    batch for batch in batches}
         for future in as_completed(futures):
             batch = futures[future]

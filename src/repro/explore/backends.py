@@ -55,15 +55,14 @@ class LocalBackend:
     name = "local"
 
     def __init__(self, scale=0.1, max_instructions=5_000_000, jobs=1,
-                 vec=None, replay=True, trace_cache=None,
-                 trace_cache_limit=None):
+                 replay=True, trace_cache=None, trace_cache_limit=None):
         from repro.eval.runner import Workbench
 
         # cache=None on purpose: the engine owns the persistent result
         # cache (one store shared by every backend), the Workbench
         # contributes its in-process memo, replay and vec kernels.
         self.wb = Workbench(scale=scale, max_instructions=max_instructions,
-                            jobs=jobs, vec=vec, replay=replay,
+                            jobs=jobs, replay=replay,
                             trace_cache=trace_cache,
                             trace_cache_limit=trace_cache_limit,
                             cache=None)
@@ -78,8 +77,7 @@ class LocalBackend:
                 for job in jobs]
 
     def describe(self):
-        return "local(jobs=%d, vec=%s, replay=%s)" % (
-            self.wb.jobs, self.wb.vec, self.wb.replay)
+        return "local(jobs=%d, replay=%s)" % (self.wb.jobs, self.wb.replay)
 
     def stats(self):
         """SweepStats of the underlying Workbench, as plain data."""

@@ -449,8 +449,7 @@ class MicroBatcher:
 
         All groups go through one
         :func:`~repro.codepack.batch.decode_groups_batch` call -- a
-        single vectorized kernel pass when NumPy is present, the scalar
-        fast path otherwise.
+        single vectorized kernel pass.
         """
         return decode_groups_batch([(image, group) for group in groups])
 
@@ -521,12 +520,8 @@ class MicroBatcher:
                         for _f, words, base, name in jobs]
 
             def compress_batch(work=programs):
-                # One batch call per window.  Inner fan-out stays
-                # sequential (the call itself already occupies a pool
-                # thread; nesting onto the same pool could starve it),
-                # and the vectorized tier never needs a pool anyway --
-                # with shared dictionaries the whole window is one
-                # fused _encode_spans pass.
+                # One batch call per window: with shared dictionaries
+                # the whole window is one fused _encode_spans pass.
                 try:
                     return compress_many(work,
                                          high_dict=self.high_dict,

@@ -4,10 +4,9 @@ One :class:`CodePackServer` owns:
 
 * a TCP listener speaking the frame protocol of
   :mod:`repro.serve.protocol` (pipelined, length-prefixed);
-* a worker :class:`~concurrent.futures.ThreadPoolExecutor` shared by
-  every codec call (and injected into the batch API of
-  :mod:`repro.codepack.batch`, so pool startup is paid once per server,
-  not once per request);
+* a worker :class:`~concurrent.futures.ThreadPoolExecutor` on which
+  the batcher runs its decode and compress batches, so the event loop
+  never blocks on the codec;
 * the :class:`~repro.serve.batcher.MicroBatcher` with its image
   registry and LRU group cache;
 * a :class:`~repro.serve.metrics.MetricsRegistry` served over the
@@ -47,8 +46,8 @@ from dataclasses import dataclass
 
 from collections import OrderedDict
 
-from repro.codepack.batch import compress_words_parallel
 from repro.codepack.errors import DecompressionError
+from repro.codepack.veccodec import compress_words_vec
 from repro.serve import protocol, snapshot as snapshot_format
 from repro.serve.batcher import (
     GroupCache,
@@ -679,18 +678,13 @@ class CodePackServer:
             self.registry.register(digest, image)
             return protocol.encode_compress_response(digest, blob)
         loop = asyncio.get_running_loop()
-        # The compressor runs on the default loop executor and fans its
-        # per-group encoding out over the shared codec pool (the
-        # injected-executor path of repro.codepack.batch), so nested
-        # submission cannot deadlock the codec pool.
         digest, blob = await loop.run_in_executor(
             None, self._compress_sync, words, text_base, name)
         return protocol.encode_compress_response(digest, blob)
 
     def _compress_sync(self, words, text_base, name):
-        image = compress_words_parallel(
+        image = compress_words_vec(
             words, text_base=text_base, name=name,
-            executor=self.executor,
             high_dict=self.shared_dicts[0],
             low_dict=self.shared_dicts[1])
         blob = dump_image(image)

@@ -57,7 +57,7 @@ def simulate(program, arch, codepack=None, image=None, static=None,
              max_instructions=DEFAULT_MAX_INSTRUCTIONS, mode=None,
              critical_word_first=True, miss_path=None, pc_index=None,
              trace=None, native_prefetch=False, batched=None,
-             replay=None, trace_cache=None, vec=None):
+             replay=None, trace_cache=None):
     """Run *program* on *arch*; returns a :class:`SimResult`.
 
     * ``codepack`` -- ``None`` for native code, else a
@@ -87,12 +87,10 @@ def simulate(program, arch, codepack=None, image=None, static=None,
       why it is opt-in here and default-on in the sweep.
     * ``trace_cache`` -- a :class:`~repro.sim.replay.TraceCache`;
       consulted (and populated) when ``replay=True``.
-    * ``vec`` -- profile-builder selection for replay runs: ``None``
-      (default) uses the vectorized column scan when NumPy is
-      importable, ``False`` forces the scalar walk, ``True`` requires
-      NumPy.  Results are identical either way; batch cell pricing
-      lives in :func:`repro.sim.vecreplay.price_cells`, which callers
-      like the Workbench use directly.
+
+    Replay prices this one cell on the scalar stream kernel; batch cell
+    pricing lives in :func:`repro.sim.vecreplay.price_grid`, which
+    callers like the Workbench use directly.
     """
     icache = Cache(arch.icache)
     dcache = Cache(arch.dcache)
@@ -132,7 +130,7 @@ def simulate(program, arch, codepack=None, image=None, static=None,
                 program, static=static, max_instructions=max_instructions)
         cycles, lookups, mispredicts, replayed = replay_trace(
             static, recorded, fetch_unit, dcache, channel, arch,
-            max_instructions, vec=vec)
+            max_instructions)
         if recorded.fault is not None and max_instructions > recorded.n:
             # The execute-driven run would have attempted the faulting
             # instruction (there was budget left) and raised from it.

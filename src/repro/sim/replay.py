@@ -813,19 +813,18 @@ def build_profile(static, trace, arch):
     )
 
 
-def get_profile(static, trace, arch, vec=None):
+def get_profile(static, trace, arch):
     """The (cached) outcome profile of *trace* on *arch*'s geometry.
 
     Keyed by the cache and predictor configs only -- architectures
     differing in issue width, memory system or miss path share one
     profile.
 
-    ``vec`` selects the profile builder: ``None`` (the default) uses
-    the vectorized column scan (:mod:`repro.sim.vecreplay`) when NumPy
-    is importable, ``False`` forces the scalar walk above, ``True``
-    insists on the vectorized one.  Both produce identical profiles
-    (asserted by the differential suite), so the memo is shared.  An
-    empty trace always takes the scalar walk.
+    Built by the vectorized column scan
+    (:func:`repro.sim.vecreplay.build_profile_vec`), which the
+    differential suite holds equal to the scalar walk above; an empty
+    trace, or a predictor outside the vector paths, takes the scalar
+    walk.
     """
     key = (arch.icache, arch.dcache, arch.predictor)
     try:
@@ -834,13 +833,9 @@ def get_profile(static, trace, arch, vec=None):
         profiles = trace._profiles = {}
     profile = profiles.get(key)
     if profile is None:
-        if vec or vec is None:
-            from repro.sim import vecreplay
-            if vecreplay.available():
-                profile = vecreplay.build_profile_vec(static, trace, arch)
-            elif vec:
-                raise RuntimeError("vec=True requires NumPy")
-        if profile is None:  # scalar, or an empty trace
+        from repro.sim import vecreplay
+        profile = vecreplay.build_profile_vec(static, trace, arch)
+        if profile is None:
             profile = build_profile(static, trace, arch)
         profiles[key] = profile
     return profile
@@ -884,7 +879,7 @@ def _dyn_ops(trace, ops):
 # ---------------------------------------------------------------------------
 
 def replay_trace(static, trace, fetch_unit, dcache, memory, arch,
-                 max_instructions, vec=None):
+                 max_instructions):
     """Replay *trace* under *arch*'s timing model, timing only.
 
     Cycle-exact against :func:`repro.sim.inorder.run_inorder` /
@@ -903,7 +898,7 @@ def replay_trace(static, trace, fetch_unit, dcache, memory, arch,
             "replay %d" % (trace.n, max_instructions))
     if max_instructions < trace.n:
         trace = trace_prefix(trace, static, max(max_instructions, 0))
-    profile = get_profile(static, trace, arch, vec=vec)
+    profile = get_profile(static, trace, arch)
     kernel = _replay_inorder_stream if arch.in_order else _replay_ooo_stream
     cycles = kernel(get_replay_table(static).ops, trace, profile,
                     fetch_unit, dcache, memory, arch)

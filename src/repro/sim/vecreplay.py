@@ -46,11 +46,11 @@ Everything here is an accelerator, not a model: the execute-driven
 models remain the oracle, and the differential suite in
 ``tests/sim/test_vecreplay.py`` asserts cycle-exactness and
 statistics-identity across the paper's cell grid.
-NumPy is optional -- ``import repro.sim.vecreplay`` works without it
-and :func:`available` reports whether the fast path can run.
 """
 
 from array import array
+
+import numpy as np
 
 from repro.sim.codepack_engine import (
     INDEX_ENTRY_BYTES,
@@ -70,21 +70,11 @@ from repro.sim.ooo import FRONT_END_LATENCY
 from repro.sim.replay import TraceProfile, get_replay_table, trace_prefix
 from repro.sim.results import SimResult
 
-try:  # pragma: no cover - exercised by the no-NumPy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 #: Bump when the column layout or their derivation changes; the
 #: per-trace memo embeds it, so stale columns are never reused.
 COLUMNS_VERSION = 1
 
 _WEAKLY_TAKEN = 2
-
-
-def available():
-    """Whether the vectorized backend can run (NumPy importable)."""
-    return np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +339,7 @@ def build_profile_vec(static, trace, arch):
     the vector paths (then the caller falls back to the scalar
     builder).
     """
-    if np is None or trace.n == 0:
+    if trace.n == 0:
         return None
     if arch.predictor.kind not in ("bimode", "gshare", "hybrid"):
         return None
@@ -1739,9 +1729,6 @@ def price_grid(benches, cells, *, max_instructions,
         if declines is not None and count:
             declines[reason] = declines.get(reason, 0) + count
 
-    if np is None:
-        decline(len(list(cells)), "numpy unavailable")
-        return out
     passes = {}
     for pos, (bench, arch, codepack) in enumerate(cells):
         passes.setdefault((_group_key(arch), bench), []).append(

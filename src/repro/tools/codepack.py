@@ -53,11 +53,17 @@ def _cmd_verify(args):
     image = load_image(args.image)
     decoded = decompress_program(image)
     if decoded != program.text:
-        first = next(i for i, (a, b) in
-                     enumerate(zip(decoded, program.text)) if a != b)
-        print("MISMATCH at instruction %d (%#x): %08x != %08x"
-              % (first, program.text_base + 4 * first,
-                 decoded[first], program.text[first]), file=sys.stderr)
+        first = next((i for i, (a, b) in
+                      enumerate(zip(decoded, program.text)) if a != b),
+                     None)
+        if first is None:
+            # One is a prefix of the other: only the lengths differ.
+            print("MISMATCH: image decodes %d instructions, program has %d"
+                  % (len(decoded), len(program.text)), file=sys.stderr)
+        else:
+            print("MISMATCH at instruction %d (%#x): %08x != %08x"
+                  % (first, program.text_base + 4 * first,
+                     decoded[first], program.text[first]), file=sys.stderr)
         return 1
     print("OK: %d instructions decompress identically"
           % image.n_instructions)

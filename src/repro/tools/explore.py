@@ -63,8 +63,8 @@ def _build_backend(args, parser, cache_root):
             return None, LocalBackend(
                 scale=args.scale,
                 max_instructions=args.max_instructions,
-                jobs=resolve_jobs(args.jobs), vec=args.vec)
-        except (RuntimeError, ValueError) as exc:
+                jobs=resolve_jobs(args.jobs))
+        except ValueError as exc:
             parser.error(str(exc))
     from repro.explore.backends import FleetBackend
 
@@ -126,12 +126,6 @@ def main(argv=None):
                         help="cells priced per backend round (default 16)")
     parser.add_argument("--jobs", default=1, metavar="N|auto",
                         help="local backend: simulation worker processes")
-    parser.add_argument("--vec", dest="vec", action="store_true",
-                        default=None,
-                        help="local backend: require the NumPy column "
-                             "kernels (default: auto)")
-    parser.add_argument("--no-vec", dest="vec", action="store_false",
-                        help="local backend: force scalar replay")
     parser.add_argument("--connect", metavar="HOST:PORT[,...]",
                         default=None,
                         help="fleet backend: worker addresses of a "

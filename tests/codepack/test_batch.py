@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.codepack.batch import (
-    _map_maybe_parallel,
-    compress_many,
-    compress_words_parallel,
-    decompress_many,
-)
+from repro.codepack.batch import compress_many, decompress_many
 from repro.codepack.compressor import compress_words
 from repro.codepack.decompressor import DecompressionError
 
@@ -24,49 +19,9 @@ def fuzz_programs():
     return [random_word_program(seed + 20_000) for seed in range(12)]
 
 
-class TestMapMaybeParallel:
-    def test_sequential_fallbacks(self):
-        for max_workers in (None, 0, 1):
-            assert _map_maybe_parallel(lambda x: x * 2, [1, 2, 3],
-                                       max_workers) == [2, 4, 6]
-
-    def test_pooled_preserves_order(self):
-        items = list(range(40))
-        assert _map_maybe_parallel(lambda x: x * x, items, 4) \
-            == [x * x for x in items]
-
-    def test_worker_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("worker %d" % x)
-
-        for max_workers in (None, 4):
-            with pytest.raises(RuntimeError):
-                _map_maybe_parallel(boom, [1, 2], max_workers)
-
-
-class TestCompressWordsParallel:
-    @pytest.mark.parametrize("max_workers", [None, 1, 2, 8])
-    def test_bit_identical_to_sequential(self, fuzz_programs, max_workers):
-        for program in fuzz_programs:
-            sequential = compress_words(program.text, name=program.name)
-            parallel = compress_words_parallel(
-                program.text, name=program.name, max_workers=max_workers)
-            assert _image_key(parallel) == _image_key(sequential)
-
-    def test_geometry_overrides_flow_through(self):
-        program = random_word_program(31_337, size=150)
-        sequential = compress_words(program.text, block_instructions=8,
-                                    group_blocks=4)
-        parallel = compress_words_parallel(program.text,
-                                           block_instructions=8,
-                                           group_blocks=4, max_workers=4)
-        assert _image_key(parallel) == _image_key(sequential)
-
-
 class TestCompressMany:
-    @pytest.mark.parametrize("max_workers", [None, 4])
-    def test_program_objects_in_input_order(self, fuzz_programs, max_workers):
-        images = compress_many(fuzz_programs, max_workers=max_workers)
+    def test_program_objects_in_input_order(self, fuzz_programs):
+        images = compress_many(fuzz_programs)
         assert [im.name for im in images] \
             == [p.name for p in fuzz_programs]
         for program, image in zip(fuzz_programs, images):
@@ -76,22 +31,28 @@ class TestCompressMany:
     def test_plain_word_lists(self):
         word_lists = [p.text for p in
                       (random_word_program(s + 40_000) for s in range(4))]
-        images = compress_many(word_lists, max_workers=2)
+        images = compress_many(word_lists)
         for words, image in zip(word_lists, images):
             assert _image_key(image) == _image_key(compress_words(words))
 
     def test_kwargs_forwarded(self, fuzz_programs):
-        images = compress_many(fuzz_programs[:3], max_workers=2,
-                               block_instructions=8)
+        images = compress_many(fuzz_programs[:3], block_instructions=8)
         for image in images:
             assert image.block_instructions == 8
 
+    def test_geometry_overrides_flow_through(self):
+        program = random_word_program(31_337, size=150)
+        sequential = compress_words(program.text, block_instructions=8,
+                                    group_blocks=4)
+        [batched] = compress_many([program.text], block_instructions=8,
+                                  group_blocks=4)
+        assert _image_key(batched) == _image_key(sequential)
+
 
 class TestDecompressMany:
-    @pytest.mark.parametrize("max_workers", [None, 4])
-    def test_roundtrip_in_order(self, fuzz_programs, max_workers):
+    def test_roundtrip_in_order(self, fuzz_programs):
         images = compress_many(fuzz_programs)
-        decoded = decompress_many(images, max_workers=max_workers)
+        decoded = decompress_many(images)
         assert decoded == [list(p.text) for p in fuzz_programs]
 
     def test_integrity_check(self):
@@ -100,60 +61,3 @@ class TestDecompressMany:
         image.n_instructions += 1  # corrupt the declared count
         with pytest.raises(DecompressionError):
             decompress_many([image])
-
-
-class TestInjectedExecutor:
-    """The reusable-executor path: callers (the serving layer) own one
-    pool; the batch API must use it instead of spawning its own."""
-
-    def test_map_uses_injected_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        submitted = []
-
-        class SpyExecutor(ThreadPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                submitted.append(fn)
-                return super().map(fn, *iterables, **kwargs)
-
-        with SpyExecutor(max_workers=2) as pool:
-            out = _map_maybe_parallel(lambda x: x + 1, [1, 2, 3],
-                                      max_workers=None, executor=pool)
-        assert out == [2, 3, 4]
-        assert len(submitted) == 1
-
-    def test_single_item_skips_executor(self):
-        class Unusable:
-            def map(self, *args, **kwargs):
-                raise AssertionError("must not be used for one item")
-
-        assert _map_maybe_parallel(lambda x: x * 3, [5], max_workers=None,
-                                   executor=Unusable()) == [15]
-
-    def test_dead_executor_falls_back_to_sequential(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=1)
-        pool.shutdown(wait=True)
-        assert _map_maybe_parallel(lambda x: x - 1, [4, 5],
-                                   max_workers=None, executor=pool) \
-            == [3, 4]
-
-    def test_compress_words_parallel_bit_identical(self, fuzz_programs):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for program in fuzz_programs[:4]:
-                injected = compress_words_parallel(
-                    program.text, name=program.name, executor=pool)
-                assert _image_key(injected) == _image_key(
-                    compress_words(program.text, name=program.name))
-
-    def test_compress_and_decompress_many_share_pool(self, fuzz_programs):
-        from concurrent.futures import ThreadPoolExecutor
-
-        programs = fuzz_programs[:4]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            images = compress_many(programs, executor=pool)
-            decoded = decompress_many(images, executor=pool)
-        assert decoded == [list(p.text) for p in programs]

@@ -111,70 +111,13 @@ def test_build_never_exceeds_capacity_or_misorders(hist):
 
 
 class TestBincountParity:
-    """The NumPy bincount tier must be invisible: identical histograms
-    and byte-identical compressed containers versus the scalar path."""
+    """The bincount histograms must equal a plain masking count."""
 
     @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=400))
     def test_histograms_match_reference(self, words):
         high, low = halfword_histograms(words)
         assert high == Counter((w >> 16) & 0xFFFF for w in words)
         assert low == Counter(w & 0xFFFF for w in words)
-
-    def test_numpy_tier_is_active_when_available(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.codepack import dictionary as mod
-        assert mod._np is numpy
-
-    def test_container_byte_identical_without_numpy(self, tmp_path):
-        """A no-NumPy subprocess (import shim) compresses the same
-        program to the very same container bytes -- the vectorized
-        histogram cannot leak into the artifact."""
-        pytest.importorskip("numpy")
-        import os
-        import subprocess
-        import sys
-
-        from repro.codepack.compressor import compress_words
-        from repro.tools.container import dump_image
-
-        script = (
-            "import hashlib, random, sys\n"
-            "try:\n"
-            "    import numpy\n"
-            "except ImportError:\n"
-            "    pass\n"
-            "else:\n"
-            "    raise SystemExit('shim failed: numpy importable')\n"
-            "from repro.codepack import dictionary as mod\n"
-            "assert mod._np is None\n"
-            "from repro.codepack.compressor import compress_words\n"
-            "from repro.tools.container import dump_image\n"
-            "rng = random.Random(4321)\n"
-            "words = [rng.randrange(2**32) for _ in range(3000)]\n"
-            "words += [0x34120004] * 500\n"
-            "blob = dump_image(compress_words(words, name='parity'))\n"
-            "sys.stdout.write(hashlib.sha256(blob).hexdigest())\n"
-        )
-        shim_dir = tmp_path / "shim"
-        shim_dir.mkdir()
-        (shim_dir / "numpy.py").write_text(
-            "raise ImportError('numpy blocked by test shim')\n")
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(shim_dir), src])
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-
-        import hashlib
-        import random
-        rng = random.Random(4321)
-        words = [rng.randrange(2**32) for _ in range(3000)]
-        words += [0x34120004] * 500
-        blob = dump_image(compress_words(words, name="parity"))
-        assert hashlib.sha256(blob).hexdigest() == proc.stdout.strip()
 
 
 class TestRankingParity:
@@ -195,7 +138,6 @@ class TestRankingParity:
         return words
 
     def test_vectorized_ranking_matches_reference(self):
-        pytest.importorskip("numpy")
         import random
 
         from repro.codepack.dictionary import (
@@ -216,7 +158,6 @@ class TestRankingParity:
                 _ranked_candidates(LOW_SCHEME, low_hist)
 
     def test_build_dictionaries_identical_to_histogram_path(self):
-        pytest.importorskip("numpy")
         import random
 
         rng = random.Random(55)
@@ -228,51 +169,3 @@ class TestRankingParity:
             ref_low = build_dictionary(LOW_SCHEME, low_hist)
             assert vec_high.entries == ref_high.entries
             assert vec_low.entries == ref_low.entries
-
-    def test_build_dictionaries_without_numpy_subprocess(self, tmp_path):
-        """The scalar fallback admits the same entries: a no-NumPy
-        subprocess builds dictionaries for the same words and reports
-        identical entry tuples."""
-        pytest.importorskip("numpy")
-        import json
-        import os
-        import subprocess
-        import sys
-
-        script = (
-            "import json, random, sys\n"
-            "try:\n"
-            "    import numpy\n"
-            "except ImportError:\n"
-            "    pass\n"
-            "else:\n"
-            "    raise SystemExit('shim failed: numpy importable')\n"
-            "from repro.codepack.dictionary import build_dictionaries\n"
-            "rng = random.Random(1889)\n"
-            "words = [rng.randrange(2**32) for _ in range(2500)]\n"
-            "words += [0x00010001] * 40 + [0] * 7\n"
-            "high, low = build_dictionaries(words)\n"
-            "sys.stdout.write(json.dumps([list(high.entries),\n"
-            "                             list(low.entries)]))\n"
-        )
-        shim_dir = tmp_path / "shim"
-        shim_dir.mkdir()
-        (shim_dir / "numpy.py").write_text(
-            "raise ImportError('numpy blocked by test shim')\n")
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(shim_dir), src])
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        scalar_high, scalar_low = json.loads(proc.stdout)
-
-        import random
-        rng = random.Random(1889)
-        words = [rng.randrange(2**32) for _ in range(2500)]
-        words += [0x00010001] * 40 + [0] * 7
-        high, low = build_dictionaries(words)
-        assert list(high.entries) == scalar_high
-        assert list(low.entries) == scalar_low

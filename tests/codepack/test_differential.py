@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.codepack.batch import compress_words_parallel
+from repro.codepack.batch import compress_many
 from repro.codepack.compressor import compress_program, compress_words
 from repro.codepack.decompressor import decompress_program
 from repro.codepack.reference import (
@@ -78,11 +78,8 @@ class TestRandomizedDifferential:
         for seed in range(40):
             program = random_word_program(seed + 10_000)
             fast = assert_differential(program)
-            for max_workers in (None, 1, 4):
-                par = compress_words_parallel(program.text,
-                                              name=program.name,
-                                              max_workers=max_workers)
-                assert_images_identical(par, fast)
+            [batched] = compress_many([program])
+            assert_images_identical(batched, fast)
 
 
 class TestWorkloadDifferential:

@@ -8,10 +8,10 @@ diff, separating "intentional format change" (regenerate the fixtures,
 review the diff) from "accidental corruption" (fix the codec).
 
 Every implementation tier is held to the same goldens: the scalar fast
-path, the per-bit reference, and (when NumPy is importable) the
-vectorized kernels -- including the fused shared-dictionary batch path,
-which ``golden/batch_shared.json`` pins program-by-program.  A drift in
-any one tier's bytes fails here by name.
+path, the per-bit reference, and the vectorized kernels -- including
+the fused shared-dictionary batch path, which
+``golden/batch_shared.json`` pins program-by-program.  A drift in any
+one tier's bytes fails here by name.
 
 Regenerate after an intentional format change with::
 
@@ -106,12 +106,9 @@ def batch_shared_programs():
 def _implementations(words, name, high_dict=None, low_dict=None):
     """Every tier's compression of *words*, labelled."""
     kwargs = {"name": name, "high_dict": high_dict, "low_dict": low_dict}
-    impls = [("fast", compress_words(words, **kwargs)),
-             ("reference", compress_words_reference(words, **kwargs))]
-    if veccodec.available():
-        impls.append(("veccodec",
-                      veccodec.compress_words_vec(words, **kwargs)))
-    return impls
+    return [("fast", compress_words(words, **kwargs)),
+            ("reference", compress_words_reference(words, **kwargs)),
+            ("veccodec", veccodec.compress_words_vec(words, **kwargs))]
 
 
 @pytest.mark.parametrize("name", sorted(golden_programs()))
@@ -128,8 +125,7 @@ def test_golden_bitstream(name):
             assert record[key] == expected, \
                 "%s path diverged from golden %s: %s" % (label, name, key)
         assert decompress_program(image) == words
-        if veccodec.available():
-            assert veccodec.decompress_program_vec(image) == words
+        assert veccodec.decompress_program_vec(image) == words
 
 
 def test_golden_batch_shared_dictionary():
@@ -149,11 +145,10 @@ def test_golden_batch_shared_dictionary():
         per_program.append(
             _implementations(words, "batch%d" % i,
                              high_dict=high_dict, low_dict=low_dict))
-    if veccodec.available():
-        fused = veccodec.compress_many_vec(programs, high_dict=high_dict,
-                                           low_dict=low_dict)
-        for i, image in enumerate(fused):
-            per_program[i].append(("veccodec-fused", image))
+    fused = veccodec.compress_many_vec(programs, high_dict=high_dict,
+                                       low_dict=low_dict)
+    for i, image in enumerate(fused):
+        per_program[i].append(("veccodec-fused", image))
 
     for i, impls in enumerate(per_program):
         expected = golden["images"][i]

@@ -19,10 +19,8 @@ import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +40,7 @@ from repro.codepack.veccodec import (
     decompress_many_vec,
     decompress_program_vec,
 )
+from repro.serve.batcher import decode_group
 from repro.tools.container import dump_image
 
 from tests.codepack.test_differential import assert_images_identical
@@ -159,8 +158,6 @@ class TestAdversarialShapes:
         # The vectorized index builder against the shared scalar oracle
         # over synthetic geometries: ragged tails, raw flags in both
         # slots, single-block groups.
-        import numpy as np
-
         from repro.codepack.compressor import BlockInfo
         from repro.codepack.reference import build_index_entries
         from repro.codepack.veccodec import _index_entries_vec
@@ -216,24 +213,25 @@ class TestBatchKernels:
         images = [compress_words(p) for p in progs]
         assert decompress_many_vec(images) == progs
         assert decompress_many_vec(images) == \
-            batch.decompress_many(images, vec=False)
+            [decompress_program(image) for image in images]
 
     def test_batch_entry_points_route_identically(self):
         progs = self.ragged_programs()
-        vec_images = batch.compress_many(progs, vec=True)
-        scalar_images = batch.compress_many(progs, vec=False)
+        vec_images = batch.compress_many(progs)
+        scalar_images = [compress_words(p) for p in progs]
         for vec_image, scalar_image in zip(vec_images, scalar_images):
             assert_images_identical(vec_image, scalar_image)
-        assert batch.decompress_many(vec_images, vec=True) == \
-            batch.decompress_many(scalar_images, vec=False)
+        assert batch.decompress_many(vec_images) == \
+            [decompress_program(image) for image in scalar_images]
 
     def test_decode_groups_batch_parity(self):
         progs = self.ragged_programs()
         images = [compress_words(p) for p in progs if p]
         requests = [(image, group) for image in images
                     for group in range(image.n_groups)]
-        vec = batch.decode_groups_batch(requests, vec=True)
-        scalar = batch.decode_groups_batch(requests, vec=False)
+        vec = batch.decode_groups_batch(requests)
+        scalar = [tuple(decode_group(image, group))
+                  for image, group in requests]
         assert vec == scalar
         assert all(isinstance(words, tuple) for words in vec)
 
@@ -287,15 +285,13 @@ class TestErrorParity:
         good = self._image()
         bad = dataclasses.replace(
             good, code_bytes=good.code_bytes[:len(good.code_bytes) // 3])
-        results = batch.decode_groups_batch(
-            [(good, 0), (bad, good.n_groups - 1), (good, 1)], vec=True)
-        scalar = batch.decode_groups_batch(
-            [(good, 0), (bad, good.n_groups - 1), (good, 1)], vec=False)
-        assert results[0] == scalar[0]
-        assert results[2] == scalar[2]
+        requests = [(good, 0), (bad, good.n_groups - 1), (good, 1)]
+        results = batch.decode_groups_batch(requests)
+        assert results[0] == tuple(decode_group(good, 0))
+        assert results[2] == tuple(decode_group(good, 1))
         assert isinstance(results[1], Exception)
         assert (type(results[1]), str(results[1])) == \
-            (type(scalar[1]), str(scalar[1]))
+            self._error(decode_group, bad, good.n_groups - 1)
 
 
 class TestRegressionCorpus:

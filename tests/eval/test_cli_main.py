@@ -65,15 +65,7 @@ class TestSweepFlags:
     def test_jobs_auto_accepted(self, capsys):
         assert main(["table2", "--jobs", "auto"]) == 0
 
-    def test_no_vec_forces_scalar_backend(self, capsys):
-        assert main(["table5", "--scale", "0.02", "--benchmarks",
-                     "pegwit", "--no-vec", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "(0 vectorized)" in out
-        assert "backend vec" not in out
-
     def test_stats_report_backends(self, capsys):
-        pytest.importorskip("numpy")
         assert main(["table5", "table10", "--scale", "0.02",
                      "--benchmarks", "pegwit", "--stats"]) == 0
         out = capsys.readouterr().out

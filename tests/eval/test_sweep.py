@@ -359,9 +359,9 @@ class TestParallelPrefetch:
     def test_prefetch_serial_path(self):
         wb = Workbench(scale=self.SCALE)  # jobs=1
         assert wb.prefetch(self.CELLS[:2]) == 2
-        # One narrow in-order pass: routed to scalar replay when NumPy
-        # is importable, scalar simulation runs otherwise.
-        assert wb.stats.sim_runs + wb.stats.vec_cells == 2
+        # One narrow in-order pass: routed to scalar replay.
+        assert wb.stats.sim_runs == 2
+        assert wb.stats.vec_routed == 2
         assert wb.prefetch(self.CELLS[:2]) == 0
 
     def test_run_batches_results_match_direct_simulation(self):
@@ -375,7 +375,6 @@ class TestParallelPrefetch:
         # A two-cell batch is one two-lane pass, under the kernels'
         # crossover: it is routed to scalar replay and counted as a
         # route, with an empty decline histogram.
-        pytest.importorskip("numpy")
         stats = sweep.SweepStats()
         results = run_batches(self.CELLS[:2], self.SCALE, 5_000_000,
                               jobs=1, stats=stats, replay=True)
@@ -387,7 +386,6 @@ class TestParallelPrefetch:
         assert "vec routed: 2 cells" in stats.summary()
 
     def test_run_batches_counts_declines(self, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.sim import vecreplay
 
         def declining_price_grid(benches, cells, *, declines=None,
@@ -418,7 +416,6 @@ class TestVecRoutes:
     BENCHMARKS = ["cc1", "pegwit"]
 
     def test_routes_and_results_identical_across_jobs(self):
-        pytest.importorskip("numpy")
         from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
 
         wbs = {}

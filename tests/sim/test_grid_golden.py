@@ -5,15 +5,16 @@
 :class:`~repro.sim.results.SimResult`.  It covers
 
 * ``grid`` -- all 309 cells of the paper sweep at scale 0.02, checked
-  through the Workbench on the default backend (``vec=None``: column
-  kernels where NumPy is importable, routed passes on the scalar stream
-  kernel) and on the scalar backend (``vec=False``);
+  through the Workbench two ways: ``sweep`` prefetches the whole grid
+  (column kernels, routed passes on the scalar stream kernel), and
+  ``per-cell`` prices every cell alone through ``Workbench.run`` (the
+  scalar stream kernel on every cell);
 * ``capped`` -- cells whose instruction cap falls inside the trace
   (``bench/arch/mode@cap``): cc1 and pegwit, caps 1, 37, 997 and 4999,
   the 1/4/8-issue machines plus the 4-issue shared bus, native,
   CodePack and optimized CodePack.  Each is checked three ways: replay
-  of the full-length trace, ``price_cells`` forced onto the kernels
-  (skipped without NumPy), and the execute-driven model, the oracle.
+  of the full-length trace, ``price_cells`` forced onto the kernels,
+  and the execute-driven model, the oracle.
 
 The differential suites compare one backend with another; this one
 compares every backend with fixed numbers, so a change that moves both
@@ -67,11 +68,13 @@ def cell_name(bench, arch, codepack, cap=None):
     return name if cap is None else "%s@%d" % (name, cap)
 
 
-def grid_digests(**workbench):
-    """Digest of every sweep cell, priced through one Workbench."""
+def grid_digests(per_cell=False, **workbench):
+    """Digest of every sweep cell, priced through one Workbench: in one
+    prefetch, or with *per_cell* each cell alone through ``run``."""
     wb = Workbench(scale=SCALE, **workbench)
     cells = sweep_cells(list(ALL_EXPERIMENTS), wb=wb)
-    wb.prefetch(cells)
+    if not per_cell:
+        wb.prefetch(cells)
     return {cell_name(*cell): digest(wb.run(*cell)) for cell in cells}
 
 
@@ -161,18 +164,15 @@ def test_fixture_shape(golden):
                                      * len(CAP_ARCHS) * len(CAP_MODES))
 
 
-@pytest.mark.parametrize("vec", (None, False), ids=("vec-default",
-                                                    "scalar"))
-def test_grid_matches_golden(golden, vec):
-    bad = mismatches(golden["grid"], grid_digests(vec=vec),
-                     "Workbench(vec=%s)" % vec)
+@pytest.mark.parametrize("arm", ("sweep", "per-cell"))
+def test_grid_matches_golden(golden, arm):
+    bad = mismatches(golden["grid"],
+                     grid_digests(per_cell=arm == "per-cell"), arm)
     assert not bad, "\n".join(bad)
 
 
 @pytest.mark.parametrize("backend", ("replay", "price_cells", "execute"))
 def test_capped_cells_match_golden(golden, artifacts, backend):
-    if backend == "price_cells":
-        pytest.importorskip("numpy")
     bad = mismatches(golden["capped"], capped_digests(artifacts, backend),
                      backend)
     assert not bad, "\n".join(bad)
@@ -182,7 +182,7 @@ def regenerate():
     artifacts = {bench: bench_artifacts(bench) for bench in CAP_BENCHES}
     fixture = {
         "scale": SCALE,
-        "grid": grid_digests(replay=False, vec=False),
+        "grid": grid_digests(replay=False),
         "capped": capped_digests(artifacts, "execute"),
     }
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -14,9 +14,9 @@ scalar walk -- both on the real benchmark traces and on
 Hypothesis-generated random access streams and geometries.
 """
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
@@ -57,7 +57,7 @@ def suite():
 @pytest.fixture(scope="module")
 def grid_cells():
     """The full sweep cell grid at test scale, as (arch, cp) per bench."""
-    wb = Workbench(scale=SCALE, vec=False)
+    wb = Workbench(scale=SCALE)
     cells = list(sweep_cells(list(ALL_EXPERIMENTS), wb=wb,
                              benchmarks=["cc1", "pegwit"]))
     by_bench = {}
@@ -315,13 +315,15 @@ class TestWorkbenchIntegration:
 
         names = ["table5", "table10"]
         benchmarks = ["pegwit"]
-        wbs = {}
-        for vec in (False, True):
-            wb = Workbench(scale=SCALE, jobs=1, vec=vec)
-            wb.prefetch(sweep_cells(names, wb=wb, benchmarks=benchmarks))
-            wbs[vec] = wb
-        scalar_wb, vec_wb = wbs[False], wbs[True]
+        # One Workbench prefetches the grid (column kernels); the other
+        # prices each cell alone through run (the scalar stream kernel).
+        vec_wb = Workbench(scale=SCALE, jobs=1)
+        vec_wb.prefetch(sweep_cells(names, wb=vec_wb, benchmarks=benchmarks))
+        scalar_wb = Workbench(scale=SCALE, jobs=1)
+        for cell in sweep_cells(names, wb=scalar_wb, benchmarks=benchmarks):
+            scalar_wb.run(*cell)
         assert vec_wb.stats.vec_cells > 0
+        assert scalar_wb.stats.vec_cells == 0
         assert set(vec_wb._results) == set(scalar_wb._results)
         for key, expected in scalar_wb._results.items():
             assert vec_wb._results[key].to_dict() == expected.to_dict()
@@ -332,7 +334,7 @@ class TestWorkbenchIntegration:
                                         benchmarks=benchmarks)))
 
     def test_backend_stats_recorded(self):
-        wb = Workbench(scale=SCALE, jobs=1, vec=True)
+        wb = Workbench(scale=SCALE, jobs=1)
         wb.prefetch(sweep_cells(["table5", "table10"], wb=wb,
                                 benchmarks=["pegwit"]))
         backends = set(wb.stats.backends.values())

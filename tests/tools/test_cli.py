@@ -115,6 +115,20 @@ class TestCodepackCli:
                               str(bad)]) == 1
         assert "MISMATCH" in capsys.readouterr().err
 
+    def test_verify_reports_length_mismatch(self, tmp_path, program_file,
+                                            image_file, capsys):
+        # The image decodes to a strict prefix of the longer program.
+        from repro.tools.container import save_program
+        program = load_program(program_file)
+        program.text = list(program.text) + [0, 0, 0]
+        longer = tmp_path / "longer.ss32"
+        save_program(longer, program)
+        assert codepack.main(["verify", str(longer),
+                              str(image_file)]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH" in err
+        assert "13" in err and "16" in err
+
 
 class TestRun:
     def test_native_report(self, program_file, capsys):
