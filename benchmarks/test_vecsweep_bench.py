@@ -2,18 +2,21 @@
 
 The vectorized backend prices the sweep's wide passes with column
 kernels and routes its narrow ones (under the measured lane
-crossover) to the scalar stream kernel.  ``--jobs N`` partitions
-*whole kernel groups* (benchmark x pipeline-shape pairs) across the
-worker pool while the parent pre-warms a shared on-disk trace cache
--- so each worker prices its slice of the grid without re-recording
-traces, and every cell takes the same route as at ``--jobs 1``.
+crossover) to the scalar stream kernel.  ``--jobs N`` hands the
+worker pool one *whole pricing pass* (benchmark x pipeline shape) per
+task, heaviest first, so every cell takes the same route as at
+``--jobs 1``.  This bench calls ``run_batches`` without prepared
+artifacts, so each worker builds the programs and images it needs
+once and loads traces from a shared on-disk trace cache the fixture
+pre-warms (a Workbench's pool inherits all of them instead).
 
 Two sections land in ``BENCH_vecsweep.json`` (same provenance header
 as every other ``BENCH_*.json``):
 
 * ``pool_baseline`` -- the pool worker path at ``jobs=1`` (every cost
-  a worker pays: program build, image compression, trace-cache load,
-  column kernels), measured on any machine.
+  a worker without prepared artifacts pays: program build, image
+  compression, trace-cache load, column kernels), measured on any
+  machine.
 * ``jobs_scaling`` -- ``jobs=2`` against ``jobs=1`` on the same
   pre-warmed trace cache, enforced to :data:`JOBS_SPEEDUP_FLOOR` when
   the host has at least two CPUs (the contract CI's multi-core runner
@@ -31,23 +34,24 @@ import pytest
 
 from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
 from repro.eval.runner import Workbench
-from repro.eval.sweep import partition_cells_vec, run_batches
+from repro.eval.sweep import pricing_passes, run_batches
 from repro.tools.benchinfo import write_report
 
 REPORT_PATH = os.environ.get("BENCH_VECSWEEP_JSON", "BENCH_vecsweep.json")
 
 #: Minimum jobs=2 over jobs=1 wall-clock ratio, both arms vectorized,
-#: on a host with >= 2 CPUs.  Worker startup and per-worker program /
-#: image rebuilds are inside the timed region (they are real costs of
-#: ``--jobs``), so the floor sits below the ~2x kernel-time split;
+#: on a host with >= 2 CPUs.  Worker startup and each worker's one
+#: build of the programs and images it prices are inside the timed
+#: region (this bench hands ``run_batches`` no prepared artifacts), so
+#: the floor sits below the ~2x kernel-time split;
 #: raise it via the ``VECSWEEP_JOBS_FLOOR`` environment variable once
 #: a given runner's numbers are known.
 JOBS_SPEEDUP_FLOOR = 1.2
 
-#: Larger than the single-worker bench's 0.1: per-worker program and
-#: image rebuilds are flat in scale (trip counts grow, code size does
-#: not), so a longer sweep keeps the measured ratio about kernel
-#: partitioning rather than fixed worker startup.
+#: Larger than the single-worker bench's 0.1: each worker's program
+#: and image builds are flat in scale (trip counts grow, code size
+#: does not), so a longer sweep keeps the measured ratio about kernel
+#: pricing rather than fixed worker startup.
 SWEEP_SCALE = 0.25
 REPS = 2
 
@@ -78,9 +82,9 @@ def _timed_pool_sweep(base, cells, trace_dir, jobs):
 
 
 def test_pool_baseline(warmed):
-    """Record the jobs=1 pool-path cost; sanity-check the partition."""
+    """Record the jobs=1 pool-path cost; sanity-check the pass list."""
     base, cells, trace_dir = warmed
-    batches = partition_cells_vec(cells, 2)
+    batches = pricing_passes(cells)
     assert sorted(len(b) for b in batches) and \
         sum(len(b) for b in batches) == len(cells)
     seconds, results = _timed_pool_sweep(base, cells, trace_dir, jobs=1)

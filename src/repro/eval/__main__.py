@@ -17,16 +17,18 @@ Sweep acceleration::
 The vectorized replay backend prices the sweep grid in columnar trace
 passes -- the cells of one benchmark that share a pipeline shape make
 one pass.  A pass too narrow to beat per-cell scalar replay is routed
-to it.  ``--jobs N`` composes with it: the sweep partitions whole
-kernel groups (not benchmarks) across the worker processes and shares
-each benchmark's recorded trace through the trace cache, so every
-worker runs column kernels on its slice of the grid rather than
-pricing cells one at a time.  On a multi-core host prefer ``--jobs
-auto`` (one worker per CPU); on a single CPU ``--jobs 1`` already gets
-the full columnar speedup.  ``--stats`` / ``--stats-json`` include the
-routed cell count and a decline histogram -- on the default grid the
-histogram is empty, so any entry means some cells the kernels should
-price fell back to scalar replay.
+to it.  ``--jobs N`` composes with it: each worker task is one whole
+pass, heaviest first, so every cell takes the route it takes at
+``--jobs 1``.  On Linux the workers are forks of this process and
+price from the programs, traces and images it already built; other
+platforms build each benchmark once per worker.  On a multi-core host
+prefer ``--jobs auto`` (one worker per CPU); on a single CPU it
+resolves to 1, which prices in-process.  ``--stats`` /
+``--stats-json`` include the routed cell count, a decline histogram
+and ``worker_builds``.  On the default grid the histogram is empty,
+so any entry means some cells the kernels should price fell back to
+scalar replay; ``worker_builds`` counts the artifacts workers had to
+build themselves, 0 when they are forks.
 """
 
 import argparse

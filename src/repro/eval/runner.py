@@ -13,7 +13,8 @@ Two optional layers speed up sweeps (see :mod:`repro.eval.sweep`):
   .ResultCache`; results survive across processes and are invalidated
   by content hash when configs or behaviour versions change.
 * ``jobs`` -- :meth:`Workbench.prefetch` fans outstanding cells across
-  a process pool; subsequent :meth:`run` calls hit the memo.
+  a process pool that prices from the Workbench's own artifacts;
+  subsequent :meth:`run` calls hit the memo.
 """
 
 import os
@@ -203,6 +204,18 @@ class Workbench:
                                                 self.scale,
                                                 self.max_instructions))
 
+    def _prepared(self, cells):
+        """``{bench: (program, static, trace, image)}`` for *cells*.
+
+        Built here if missing: the trace when replay is on, the image
+        for benchmarks with CodePack cells; ``None`` otherwise.
+        """
+        needs_image = {c[0] for c in cells if c[2] is not None}
+        return {bench: (self.program(bench), self.static(bench),
+                        self.trace(bench) if self.replay else None,
+                        self.image(bench) if bench in needs_image else None)
+                for bench in sorted({c[0] for c in cells})}
+
     def _prefetch_vec(self, cells):
         """Price *cells* through the column kernels; returns the cells
         left for the scalar engines.
@@ -216,12 +229,7 @@ class Workbench:
         ``stats.vec_routed``; cells the kernels cannot serve land in
         the ``stats.vec_declines`` histogram.
         """
-        needs_image = {c[0] for c in cells if c[2] is not None}
-        benches = {}
-        for bench in {c[0] for c in cells}:
-            benches[bench] = (
-                self.program(bench), self.static(bench), self.trace(bench),
-                self.image(bench) if bench in needs_image else None)
+        benches = self._prepared(cells)
         routes = {}
         with timed_phase(self.stats, "simulate"):
             priced = vecreplay.price_grid(
@@ -247,11 +255,13 @@ class Workbench:
         ``cells`` is an iterable of ``(bench, arch, codepack)`` triples
         (e.g. from :func:`repro.eval.experiments.sweep_cells`).  Cells
         already memoised or in the persistent cache are skipped; the
-        rest run across ``jobs`` worker processes, deterministically
-        partitioned per benchmark (with ``jobs=1``, in-process -- where
-        the vectorized backend prices whole cell groups at once).
-        Cache writes happen only here, in the parent.  Returns the
-        number of cells actually simulated.
+        rest are priced in-process (``jobs=1``) or by ``jobs`` worker
+        processes, one pricing pass per task
+        (:func:`~repro.eval.sweep.run_batches`).  The workers price from
+        this Workbench's programs, predecoded text, traces and images,
+        built here first if missing.  Results, and so cache writes, are
+        stored in the order of *cells*, only here in the parent.
+        Returns the number of cells actually simulated.
         """
         todo = []
         seen = set()
@@ -285,17 +295,12 @@ class Workbench:
                 return len(todo)
             trace_dir = (self.trace_cache.root
                          if self.trace_cache is not None else None)
-            if self.replay and trace_dir is not None:
-                # Pre-warm the trace cache in the parent so workers
-                # load shared recordings instead of each re-recording
-                # the benchmarks their batch happens to touch.
-                for bench in sorted({cell[0] for cell in todo}):
-                    self.trace(bench)
             results = run_batches(todo, self.scale, self.max_instructions,
                                   self.jobs, stats=self.stats,
-                                  replay=self.replay, trace_dir=trace_dir)
-            for cell, result in results.items():
-                self._store(cell, result)
+                                  replay=self.replay, trace_dir=trace_dir,
+                                  prepared=self._prepared(todo))
+            for cell in todo:
+                self._store(cell, results[cell])
         return len(todo)
 
     def speedup(self, bench, arch, codepack):

@@ -17,11 +17,13 @@ This module supplies the machinery the
 * :class:`ResultCache` -- a directory of one JSON file per cell under
   ``.repro_cache/`` (by default), written atomically; corrupt,
   truncated or unreadable entries are treated as misses and re-run.
-* :func:`run_batches` -- fans cell batches across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Partitioning is
-  deterministic: cells are grouped per benchmark (so each worker builds
-  and compresses its program once) and large groups are split evenly
-  until every job slot has work.
+* :func:`run_batches` -- fans cells across a
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  On Linux the pool
+  forks, so workers price from the programs, predecoded text, traces
+  and images the caller already prepared instead of rebuilding them.
+  With replay on, each task is one whole pricing pass, heaviest first
+  (:func:`pricing_passes`), so the workers finish together and every
+  cell takes the route it takes at ``jobs=1``.
 * :class:`SweepStats` -- hit/miss counters and per-phase wall-clock
   timing, reported by ``python -m repro.eval --stats``.
 
@@ -33,10 +35,12 @@ and are re-simulated.
 
 import hashlib
 import json
+import multiprocessing
 import os
+import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.codepack import CODEC_VERSION
@@ -319,6 +323,7 @@ class SweepStats:
     vec_routed: int = 0  # cells of narrow passes routed to scalar replay
     parallel_cells: int = 0  # simulations run by pool workers
     parallel_batches: int = 0
+    worker_builds: int = 0  # artifacts pool tasks built, not inherited
     trace_pruned_files: int = 0  # trace-cache LRU evictions
     trace_pruned_bytes: int = 0
     phase_seconds: dict = field(default_factory=dict)
@@ -348,6 +353,7 @@ class SweepStats:
             "vec_routed": self.vec_routed,
             "parallel_cells": self.parallel_cells,
             "parallel_batches": self.parallel_batches,
+            "worker_builds": self.worker_builds,
             "trace_pruned_files": self.trace_pruned_files,
             "trace_pruned_bytes": self.trace_pruned_bytes,
             "phase_seconds": dict(self.phase_seconds),
@@ -368,6 +374,10 @@ class SweepStats:
             "cache: %d hits, %d misses, %d memo hits"
             % (self.cache_hits, self.cache_misses, self.memo_hits),
         ]
+        if self.worker_builds:
+            lines.append("worker builds: %d artifacts built or loaded by "
+                         "the pricing tasks, not taken from the parent"
+                         % self.worker_builds)
         if self.trace_pruned_files:
             lines.append("trace cache: pruned %d files (%d bytes)"
                          % (self.trace_pruned_files,
@@ -403,11 +413,9 @@ def resolve_jobs(jobs):
 
     The single place ``auto`` is resolved (one worker per CPU, via
     :func:`os.cpu_count`); every entry point funnels through here so
-    bad values fail the same way everywhere.  Note that on a
-    single-CPU host ``auto`` resolves to 1, which is also the value
-    that lets the vectorized replay backend price whole cell groups
-    in-process -- usually faster than scalar workers (see
-    ``python -m repro.eval --help``).
+    bad values fail the same way everywhere.  On a single-CPU host
+    ``auto`` resolves to 1, which prices the grid in-process with no
+    pool at all.
     """
     if jobs in (None, 0, 1):
         return 1
@@ -431,8 +439,9 @@ def resolve_jobs(jobs):
 def partition_cells(cells, jobs):
     """Deterministically partition cells into per-benchmark batches.
 
-    Cells sharing a benchmark land in the same batch (the worker builds
-    the program and compresses it once for all of them); when there are
+    Cells sharing a benchmark land in the same batch (a worker that
+    lacks the program builds and compresses it once for all of them);
+    the execute-driven sweep uses these batches.  When there are
     fewer batches than job slots, the largest batch is split in half
     repeatedly, preserving cell order.  The output depends only on the
     input order and *jobs* -- never on hashing or timing.
@@ -456,102 +465,115 @@ def partition_cells(cells, jobs):
     return batches
 
 
-def partition_cells_vec(cells, jobs):
-    """Partition cells into batches of whole vec kernel groups.
+def pricing_passes(cells, lengths=None):
+    """The pricing passes of *cells*, heaviest first: the pool's tasks.
 
-    The vectorized backend prices one (benchmark, pipeline-shape)
-    group per kernel pass, so that pair is the unit of parallel work:
-    splitting a pair across workers would run the same trace pass
-    twice for half the columns each, and could route a cell that a
-    whole pass would price on the kernels (``price_grid`` routes by
-    the width of the pass).  Pairs are packed whole into the
-    lightest batch, largest pair first; ties keep first-seen order, so
-    the partition depends only on the input order and *jobs*.
+    A pass is one (benchmark, pipeline shape) pair --
+    :func:`repro.sim.vecreplay._group_key` -- the unit one kernel
+    traversal of a trace prices, so it is never split: splitting it
+    would run the same trace pass twice for part of the lanes each,
+    and could route a cell that the whole pass prices on the kernels
+    (``price_grid`` routes by the width of the pass).  A pass weighs
+    its lanes times its benchmark's trace length from *lengths*
+    (``{bench: instructions}``), or its lanes alone where the trace is
+    not known.  Heaviest first lets the pool's queue balance the load:
+    the long passes start early and the short ones fill the gaps.
+    Ties keep first-seen order, so the list depends only on the input
+    order and *lengths*.
     """
     from repro.sim.vecreplay import _group_key
 
-    units = {}
-    order = []
+    passes = {}
     for cell in cells:
-        key = (cell[0], _group_key(cell[1]))
-        if key not in units:
-            units[key] = []
-            order.append(key)
-        units[key].append(cell)
-    if jobs <= 1 or len(order) <= 1:
-        return [list(cells)] if cells else []
-    nbatch = min(jobs, len(order))
-    batches = [[] for _ in range(nbatch)]
-    sizes = [0] * nbatch
-    rank = {key: pos for pos, key in enumerate(order)}
-    for key in sorted(order, key=lambda k: (-len(units[k]), rank[k])):
-        i = sizes.index(min(sizes))
-        batches[i].extend(units[key])
-        sizes[i] += len(units[key])
-    return [b for b in batches if b]
+        passes.setdefault((cell[0], _group_key(cell[1])), []).append(cell)
+    lengths = lengths or {}
+    return sorted(passes.values(),
+                  key=lambda p: -len(p) * lengths.get(p[0][0], 1))
+
+
+#: Start method of the sweep pool.  A ``fork`` inherits the parent's
+#: :data:`_WORKER_MEMO`, so workers price from the artifacts the parent
+#: already holds; it is asked for by name because Python 3.14 changes
+#: the Linux default to ``forkserver``.  ``None`` (the platform default)
+#: elsewhere, where workers build what they lack once each.
+_START_METHOD = "fork" if sys.platform.startswith("linux") else None
+
+#: ``{bench: (program, static, trace, image)}`` that :func:`_run_batch`
+#: prices from: filled by :func:`run_batches` from its caller's prepared
+#: artifacts for the life of one pool, plus whatever a worker had to
+#: build itself.  ``trace`` and ``image`` may be ``None`` (not needed).
+#: One :func:`run_batches` call owns it at a time, so a process must
+#: not run two from different threads.
+_WORKER_MEMO = {}
+
+
+def _worker_artifacts(cells, scale, max_instructions, replay, trace_dir):
+    """The ``price_grid`` benches of *cells* from :data:`_WORKER_MEMO`.
+
+    Builds (or loads from the trace cache under *trace_dir*) only what
+    the memo lacks, stores it there for the worker's later tasks, and
+    returns ``(benches, builds)``, *builds* counting those artifacts.
+    """
+    needs_image = {bench for bench, _arch, codepack in cells
+                   if codepack is not None}
+    benches = {}
+    builds = 0
+    for bench in dict.fromkeys(cell[0] for cell in cells):
+        program, static, trace, image = _WORKER_MEMO.get(bench,
+                                                         (None,) * 4)
+        if program is None:
+            program = build_benchmark(bench, scale)
+            builds += 1
+        if static is None:
+            static = prepare(program)
+            builds += 1
+        if replay and trace is None:
+            if trace_dir is not None:
+                from repro.sim.replay import TraceCache
+                trace = TraceCache(trace_dir).get_or_record(
+                    program, static=static,
+                    max_instructions=max_instructions)
+            else:
+                from repro.sim.replay import record_trace
+                trace = record_trace(program, static=static,
+                                     max_instructions=max_instructions)
+            builds += 1
+        if bench in needs_image and image is None:
+            image = compress_program(program)
+            builds += 1
+        benches[bench] = _WORKER_MEMO[bench] = (program, static, trace,
+                                                image)
+    return benches, builds
 
 
 def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
     """Pool worker: simulate one batch of cells.
 
-    Programs, predecoded text and compressed images are rebuilt in the
-    worker (compiled closures and block tables do not pickle, and
-    shipping them would cost more than rebuilding); results travel
-    back as ``{"results": [(dict, backend), ...], "declines": {...},
-    "routed": n}``, *backend* being ``"vec"`` or ``"scalar"``,
-    *declines* the vec backend's reason histogram for the batch and
-    *routed* how many of its cells the vec backend routed to scalar
-    replay.
+    Artifacts come from :data:`_WORKER_MEMO`: a forked worker inherits
+    the parent's, and builds nothing; any other worker builds (or, with
+    ``replay``, loads from the trace cache under *trace_dir*) what it
+    lacks once, and reuses it for its later tasks.  Results travel back
+    as ``{"results": [(dict, backend), ...], "declines": {...},
+    "routed": n, "builds": n}``, *backend* being ``"vec"`` or
+    ``"scalar"``, *declines* the vec backend's reason histogram for the
+    batch, *routed* how many of its cells the vec backend routed to
+    scalar replay, and *builds* how many artifacts the batch had to
+    build or load itself.
 
-    With ``replay`` on, each benchmark's functional trace is recorded
-    (or loaded from the :class:`~repro.sim.replay.TraceCache` under
-    *trace_dir* -- the parent pre-warms it, so workers share one
-    recording) once, and the whole batch prices over it through
-    :func:`repro.sim.vecreplay.price_grid` in one invocation --
-    identical results, a fraction of the work.  Whatever it routes or
-    declines runs on scalar replay.
+    With ``replay`` on, the whole batch prices over the benchmarks'
+    traces through :func:`repro.sim.vecreplay.price_grid` in one
+    invocation; whatever it routes or declines runs on scalar replay.
     """
-    trace_cache = None
-    if replay and trace_dir is not None:
-        from repro.sim.replay import TraceCache
-        trace_cache = TraceCache(trace_dir)
-    programs = {}
-    statics = {}
-    images = {}
-    traces = {}
-
-    def trace_for(bench):
-        if bench not in traces:
-            if trace_cache is not None:
-                traces[bench] = trace_cache.get_or_record(
-                    programs[bench], static=statics[bench],
-                    max_instructions=max_instructions)
-            else:
-                from repro.sim.replay import record_trace
-                traces[bench] = record_trace(
-                    programs[bench], static=statics[bench],
-                    max_instructions=max_instructions)
-        return traces[bench]
-
-    for bench, arch, codepack in cells:
-        if bench not in programs:
-            programs[bench] = build_benchmark(bench, scale)
-            statics[bench] = prepare(programs[bench])
-        if codepack is not None and bench not in images:
-            images[bench] = compress_program(programs[bench])
-
+    benches, builds = _worker_artifacts(cells, scale, max_instructions,
+                                        replay, trace_dir)
     vec_results = {}
     declines = {}
     routes = {}
     if replay:
         from repro.sim import vecreplay
-        benches = {bench: (programs[bench], statics[bench],
-                           trace_for(bench), images.get(bench))
-                   for bench in programs}
         vec_results = vecreplay.price_grid(
-            benches, [(b, a, cp) for b, a, cp in cells],
-            max_instructions=max_instructions, declines=declines,
-            routes=routes)
+            benches, list(cells), max_instructions=max_instructions,
+            declines=declines, routes=routes)
 
     out = []
     for pos, (bench, arch, codepack) in enumerate(cells):
@@ -559,78 +581,88 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
         if result is not None:
             out.append((result.to_dict(), "vec"))
             continue
-        result = simulate(programs[bench], arch, codepack=codepack,
-                          image=images.get(bench), static=statics[bench],
-                          max_instructions=max_instructions,
-                          replay=trace_for(bench) if replay else None)
+        program, static, trace, image = benches[bench]
+        result = simulate(program, arch, codepack=codepack, image=image,
+                          static=static, max_instructions=max_instructions,
+                          replay=trace if replay else None)
         out.append((result.to_dict(), "scalar"))
     return {"results": out, "declines": declines,
-            "routed": sum(routes.values())}
+            "routed": sum(routes.values()), "builds": builds}
 
 
 def run_batches(cells, scale, max_instructions, jobs, stats=None,
-                replay=False, trace_dir=None):
+                replay=False, trace_dir=None, prepared=None):
     """Run *cells* across a process pool; returns ``{cell: SimResult}``.
 
     ``cells`` is a sequence of ``(bench, arch, codepack)`` triples
-    (hashable: the configs are frozen dataclasses).  Cache lookups and
-    stores are the caller's business -- workers never touch the cache,
-    so concurrent sweeps cannot race on files beyond the atomic
-    replace.  ``replay``/``trace_dir`` select the trace-replay fast
-    path, with vectorized cell-group pricing, in the workers (see
-    :func:`_run_batch`).
+    (hashable: the configs are frozen dataclasses).  *prepared* maps a
+    benchmark to the caller's ``(program, static, trace, image)``
+    (``trace``/``image`` may be ``None``); the pool prices from them,
+    and builds only what they lack (see :func:`_run_batch`).  Cache
+    lookups and stores are the caller's business -- workers never touch
+    the cache, so concurrent sweeps cannot race on files beyond the
+    atomic replace.  ``replay``/``trace_dir`` select the trace-replay
+    fast path, with vectorized pricing, in the workers.
+
+    With ``replay`` on, each task is one pricing pass
+    (:func:`pricing_passes`), heaviest first, so routes and results are
+    those of ``jobs=1``; otherwise cells go in per-benchmark batches
+    (:func:`partition_cells`).  Results are collected in task order,
+    whatever order the workers finish in.
     """
     cells = list(cells)
     if not cells:
         return {}
     jobs = resolve_jobs(jobs)
+    results = {}
 
-    def record(cell, payload):
-        d, backend = payload
-        results[cell] = SimResult.from_dict(d)
-        if stats is not None:
-            bench, arch, codepack = cell
+    def collect(batch, payload):
+        scalar = 0
+        for cell, (d, backend) in zip(batch, payload["results"]):
+            results[cell] = SimResult.from_dict(d)
+            if stats is None:
+                continue
             if backend == "vec":
                 stats.vec_cells += 1
+            else:
+                scalar += 1
+            bench, arch, _codepack = cell
             stats.note_backend("%s/%s/%s" % (bench, arch.name,
                                              results[cell].mode), backend)
-        return backend
-
-    def note_unpriced(payload):
         if stats is not None:
             stats.note_declines(payload["declines"])
             stats.vec_routed += payload["routed"]
+            stats.worker_builds += payload["builds"]
+        return scalar
 
-    results = {}
-    if jobs == 1 or len(cells) == 1:
-        scalar = 0
-        for batch in partition_cells(cells, 1):
-            payload = _run_batch(scale, max_instructions, batch,
-                                 replay=replay, trace_dir=trace_dir)
-            note_unpriced(payload)
-            for cell, entry in zip(batch, payload["results"]):
-                if record(cell, entry) == "scalar":
-                    scalar += 1
+    _WORKER_MEMO.update(prepared or {})
+    try:
+        if jobs == 1 or len(cells) == 1:
+            scalar = collect(cells, _run_batch(
+                scale, max_instructions, cells, replay=replay,
+                trace_dir=trace_dir))
+            if stats is not None:
+                stats.sim_runs += scalar
+            return results
+        if replay:
+            batches = pricing_passes(cells, {
+                bench: art[2].n for bench, art in _WORKER_MEMO.items()
+                if art[2] is not None})
+        else:
+            batches = partition_cells(cells, jobs)
         if stats is not None:
-            stats.sim_runs += scalar
-        return results
-    if replay:
-        batches = partition_cells_vec(cells, jobs)
-    else:
-        batches = partition_cells(cells, jobs)
-    if stats is not None:
-        stats.parallel_cells += len(cells)
-        stats.parallel_batches += len(batches)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-        futures = {pool.submit(_run_batch, scale, max_instructions, batch,
-                               replay, trace_dir):
-                   batch for batch in batches}
-        for future in as_completed(futures):
-            batch = futures[future]
-            payload = future.result()
-            note_unpriced(payload)
-            for cell, entry in zip(batch, payload["results"]):
-                record(cell, entry)
+            stats.parallel_cells += len(cells)
+            stats.parallel_batches += len(batches)
+        context = multiprocessing.get_context(_START_METHOD)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches)),
+                                 mp_context=context) as pool:
+            futures = [pool.submit(_run_batch, scale, max_instructions,
+                                   batch, replay, trace_dir)
+                       for batch in batches]
+            for batch, future in zip(batches, futures):
+                collect(batch, future.result())
+    finally:
+        _WORKER_MEMO.clear()
     return results
 
 

@@ -12,11 +12,18 @@ import sys
 
 from repro.codepack.compressor import compress_program
 from repro.codepack.decompressor import decompress_program
-from repro.tools.container import load_image, load_program, save_image
+from repro.tools.container import (
+    load_for_cli,
+    load_image,
+    load_program,
+    save_image,
+)
 
 
 def _cmd_compress(args):
-    program = load_program(args.program)
+    program = load_for_cli(load_program, args.program)
+    if program is None:
+        return 1
     image = compress_program(program)
     save_image(args.output, image)
     print("%s: %d -> %d bytes (ratio %.1f%%) -> %s"
@@ -26,7 +33,9 @@ def _cmd_compress(args):
 
 
 def _cmd_inspect(args):
-    image = load_image(args.image)
+    image = load_for_cli(load_image, args.image)
+    if image is None:
+        return 1
     print("CodePack image %r" % image.name)
     print("  native text: %d instructions (%d bytes) at %#x"
           % (image.n_instructions, image.original_bytes, image.text_base))
@@ -49,8 +58,12 @@ def _cmd_inspect(args):
 
 
 def _cmd_verify(args):
-    program = load_program(args.program)
-    image = load_image(args.image)
+    program = load_for_cli(load_program, args.program)
+    if program is None:
+        return 1
+    image = load_for_cli(load_image, args.image)
+    if image is None:
+        return 1
     decoded = decompress_program(image)
     if decoded != program.text:
         first = next((i for i, (a, b) in

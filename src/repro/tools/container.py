@@ -33,6 +33,7 @@ and refuse to load mismatched magic/version.
 
 import json
 import struct
+import sys
 
 from repro.codepack.codewords import HIGH_SCHEME, LOW_SCHEME
 from repro.codepack.compressor import BlockInfo, CodePackImage
@@ -73,6 +74,13 @@ class _Reader:
 
     def u64(self):
         return struct.unpack("<Q", self.take(8))[0]
+
+    def text(self):
+        """A u32-length-prefixed UTF-8 string."""
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError("malformed UTF-8 text") from None
 
 
 def _check_header(reader, magic):
@@ -121,8 +129,14 @@ def parse_program(data):
     for _ in range(reader.u32()):
         addr = reader.u32()
         data_bytes[addr] = reader.u8()
-    symbols = json.loads(reader.take(reader.u32()).decode("utf-8"))
-    name = reader.take(reader.u32()).decode("utf-8")
+    try:
+        symbols = json.loads(reader.text())
+    except json.JSONDecodeError:
+        symbols = None
+    if not isinstance(symbols, dict) or not all(
+            isinstance(addr, int) for addr in symbols.values()):
+        raise ContainerError("malformed symbol table")
+    name = reader.text()
     return Program(text=words, text_base=text_base, data=data_bytes,
                    symbols=symbols, entry=entry, name=name)
 
@@ -209,7 +223,7 @@ def parse_image(data):
         _STATS_FIELDS, struct.unpack("<7Q", reader.take(56)))))
     block_instructions = reader.u8()
     group_blocks = reader.u8()
-    name = reader.take(reader.u32()).decode("utf-8")
+    name = reader.text()
     return CodePackImage(
         name=name, text_base=text_base, n_instructions=n_instructions,
         high_dict=dictionaries[0], low_dict=dictionaries[1],
@@ -222,3 +236,18 @@ def load_image(path):
     """Load a :class:`CodePackImage` written by :func:`save_image`."""
     with open(path, "rb") as handle:
         return parse_image(handle.read())
+
+
+def load_for_cli(loader, path):
+    """``loader(path)`` for a command-line tool; ``None`` if it failed.
+
+    A damaged container (:class:`ContainerError`) or an unreadable
+    path (:class:`OSError`) prints one line, ``<path>: <reason>``, on
+    stderr instead of a traceback; the tool then returns 1.
+    """
+    try:
+        return loader(path)
+    except (ContainerError, OSError) as error:
+        reason = getattr(error, "strerror", None) or error
+        print("%s: %s" % (path, reason), file=sys.stderr)
+        return None

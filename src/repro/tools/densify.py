@@ -15,7 +15,7 @@ import sys
 
 from repro.isa16.encoding16 import assemble_mixed, verify_mixed_encoding
 from repro.isa16.translator import translate
-from repro.tools.container import load_program
+from repro.tools.container import load_for_cli, load_program
 
 
 def main(argv=None):
@@ -34,7 +34,9 @@ def main(argv=None):
                              "against the translation")
     args = parser.parse_args(argv)
 
-    program = load_program(args.program)
+    program = load_for_cli(load_program, args.program)
+    if program is None:
+        return 1
     try:
         mixed = translate(program, line_bytes=args.line_bytes)
     except ValueError as error:

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from repro.isa.disassembler import disassemble_word
-from repro.tools.container import load_program
+from repro.tools.container import load_for_cli, load_program
 
 
 def main(argv=None):
@@ -26,7 +26,9 @@ def main(argv=None):
                         help="suppress label annotations")
     args = parser.parse_args(argv)
 
-    program = load_program(args.image)
+    program = load_for_cli(load_program, args.image)
+    if program is None:
+        return 1
     labels = {}
     if not args.no_symbols:
         for name, addr in program.symbols.items():

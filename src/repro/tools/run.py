@@ -16,7 +16,7 @@ import sys
 from repro.sim.config import BASELINES, CodePackConfig
 from repro.sim.machine import simulate
 from repro.sim.replay import TraceCache, record_trace
-from repro.tools.container import load_image, load_program
+from repro.tools.container import load_for_cli, load_image, load_program
 
 
 def _report(result):
@@ -71,9 +71,15 @@ def main(argv=None):
                         help="persist/reuse recorded traces under DIR")
     args = parser.parse_args(argv)
 
-    program = load_program(args.program)
+    program = load_for_cli(load_program, args.program)
+    if program is None:
+        return 1
     arch = BASELINES[args.arch]
-    image = load_image(args.image) if args.image else None
+    image = None
+    if args.image:
+        image = load_for_cli(load_image, args.image)
+        if image is None:
+            return 1
 
     trace_cache = TraceCache(args.trace_cache) if args.trace_cache \
         else None

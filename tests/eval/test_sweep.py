@@ -205,9 +205,10 @@ class TestPartitioning:
             resolve_jobs(-2)
 
 
-class TestVecPartitioning:
-    """partition_cells_vec keeps (bench, kernel-group) units whole so
-    a worker never prices half a column group."""
+class TestPricingPasses:
+    """pricing_passes makes one pool task per (bench, kernel-group)
+    pass, whole, heaviest first, so a worker never prices part of a
+    pass and the long passes start first."""
 
     CELLS = ([("a", ARCH_4_ISSUE, None)] * 4
              + [("a", ARCH_1_ISSUE, None)] * 2
@@ -215,35 +216,37 @@ class TestVecPartitioning:
              + [("b", ARCH_1_ISSUE, CP)])
 
     @staticmethod
-    def _unit_key(cell):
+    def _pass_key(cell):
         from repro.sim.vecreplay import _group_key
         return (cell[0], _group_key(cell[1]))
 
-    def test_units_stay_whole(self):
-        batches = sweep.partition_cells_vec(self.CELLS, 3)
-        placed = {}
-        for pos, batch in enumerate(batches):
-            for cell in batch:
-                key = self._unit_key(cell)
-                assert placed.setdefault(key, pos) == pos
-        flat = [cell for batch in batches for cell in batch]
+    def test_every_pass_whole(self):
+        passes = sweep.pricing_passes(self.CELLS)
+        keys = [{self._pass_key(cell) for cell in p} for p in passes]
+        assert all(len(k) == 1 for k in keys)
+        assert len({k.pop() for k in keys}) == len(passes) == 4
+        flat = [cell for p in passes for cell in p]
         assert sorted(flat, key=repr) == sorted(self.CELLS, key=repr)
 
-    def test_deterministic(self):
-        assert (sweep.partition_cells_vec(self.CELLS, 3)
-                == sweep.partition_cells_vec(self.CELLS, 3))
+    def test_heaviest_first_by_lanes(self):
+        passes = sweep.pricing_passes(self.CELLS)
+        assert [(p[0][0], len(p)) for p in passes] == [
+            ("a", 4), ("b", 3), ("a", 2), ("b", 1)]
 
-    def test_balances_largest_first(self):
-        # Unit sizes 4, 3, 2, 1 pack greedily into two batches of 5.
-        batches = sweep.partition_cells_vec(self.CELLS, 2)
-        assert len(batches) == 2
-        assert sorted(len(b) for b in batches) == [5, 5]
+    def test_heaviest_first_by_lanes_times_trace_length(self):
+        passes = sweep.pricing_passes(self.CELLS, {"a": 10, "b": 100})
+        # b: 3 x 100, 1 x 100; a: 4 x 10, 2 x 10.
+        assert [(p[0][0], len(p)) for p in passes] == [
+            ("b", 3), ("b", 1), ("a", 4), ("a", 2)]
 
-    def test_jobs_one_is_single_batch(self):
-        assert sweep.partition_cells_vec(self.CELLS, 1) == [self.CELLS]
+    def test_deterministic_and_ties_keep_input_order(self):
+        assert (sweep.pricing_passes(self.CELLS)
+                == sweep.pricing_passes(self.CELLS))
+        ties = [("x", ARCH_4_ISSUE, None), ("y", ARCH_4_ISSUE, None)]
+        assert sweep.pricing_passes(ties) == [[ties[0]], [ties[1]]]
 
     def test_empty(self):
-        assert sweep.partition_cells_vec([], 4) == []
+        assert sweep.pricing_passes([]) == []
 
 
 class TestWorkbenchCache:
@@ -434,6 +437,78 @@ class TestVecRoutes:
         assert wbs[1]._results.keys() == wbs[2]._results.keys()
         for key, result in wbs[1]._results.items():
             assert wbs[2]._results[key].to_dict() == result.to_dict()
+
+
+class TestInheritedArtifacts:
+    """Pool workers price from the Workbench's prepared artifacts: a
+    forked worker builds nothing, any other worker builds each
+    benchmark at most once, and the results are those of ``jobs=1``."""
+
+    SCALE = 0.02
+    BENCHMARKS = ["cc1", "pegwit"]
+
+    def grid(self, wb):
+        from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
+        return list(sweep_cells(list(ALL_EXPERIMENTS), wb=wb,
+                                benchmarks=self.BENCHMARKS))
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        wb = Workbench(scale=self.SCALE)
+        wb.prefetch(self.grid(wb))
+        return wb
+
+    @staticmethod
+    def assert_same_results(serial, pooled):
+        assert serial._results.keys() == pooled._results.keys()
+        for key, result in serial._results.items():
+            assert pooled._results[key] == result
+            assert pooled._results[key].to_dict() == result.to_dict()
+
+    @pytest.mark.skipif(sweep._START_METHOD != "fork",
+                        reason="workers inherit artifacts through fork")
+    def test_fork_workers_build_nothing(self, serial, monkeypatch):
+        from repro.sim import replay
+
+        wb = Workbench(scale=self.SCALE, jobs=2)
+        for bench in self.BENCHMARKS:
+            wb.program(bench)
+            wb.static(bench)
+            wb.trace(bench)
+            wb.image(bench)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pool worker rebuilt an artifact")
+
+        for owner, name in ((sweep, "build_benchmark"), (sweep, "prepare"),
+                            (sweep, "compress_program"),
+                            (replay, "record_trace"),
+                            (replay.TraceCache, "get_or_record")):
+            monkeypatch.setattr(owner, name, forbidden)
+        cells = self.grid(wb)
+        assert wb.prefetch(cells) == len(cells)
+        assert wb.stats.parallel_cells == len(cells)
+        assert wb.stats.worker_builds == 0
+        assert sweep._WORKER_MEMO == {}
+        self.assert_same_results(serial, wb)
+
+    def test_spawn_workers_build_each_benchmark_once(self, serial,
+                                                     monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep, "_START_METHOD", "spawn")
+        wb = Workbench(scale=self.SCALE, jobs=2, cache=str(tmp_path))
+        cells = self.grid(wb)
+        assert wb.prefetch(cells) == len(cells)
+        self.assert_same_results(serial, wb)
+        # Program, predecode, trace load and image: at most once per
+        # benchmark in each of the two workers, against 3-4 per task
+        # had every task rebuilt its benchmark.
+        once_per_worker = 2 * 4 * len(self.BENCHMARKS)
+        every_task = sum(3 + any(c[2] is not None for c in p)
+                         for p in sweep.pricing_passes(cells))
+        assert every_task > once_per_worker
+        assert 0 < wb.stats.worker_builds <= once_per_worker
+        assert "worker builds: %d" % wb.stats.worker_builds \
+            in wb.stats.summary()
 
 
 class TestCacheDirEnvOverride:

@@ -1,4 +1,9 @@
-"""Tests for the command-line tools (invoked in-process)."""
+"""Tests for the command-line tools (invoked in-process, except where
+the test is about what the process prints when it fails)."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -202,3 +207,53 @@ class TestDensify:
         densify.main([str(program_file), "-o", str(out)])
         assert out.stat().st_size \
             <= load_program(program_file).text_size
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "src")
+
+
+class TestDamagedInputs:
+    """A damaged or missing input file is one stderr line, ``<path>:
+    <reason>``, and exit status 1 -- never a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, program_file, image_file):
+        (tmp_path / "trunc.ss32").write_bytes(program_file.read_bytes()[:40])
+        (tmp_path / "trunc.cpk").write_bytes(image_file.read_bytes()[:40])
+        (tmp_path / "random.bin").write_bytes(
+            bytes((i * 37 + 11) % 256 for i in range(200)))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, culprit, reason", [
+        pytest.param(["codepack", "verify", "demo.ss32", "trunc.cpk"],
+                     "trunc.cpk", "truncated container",
+                     id="codepack-verify"),
+        pytest.param(["codepack", "inspect", "random.bin"], "random.bin",
+                     "bad magic (not a 'CPKIMG' container)",
+                     id="codepack-inspect-garbage"),
+        pytest.param(["codepack", "inspect", "missing.cpk"], "missing.cpk",
+                     "No such file or directory",
+                     id="codepack-inspect-missing"),
+        pytest.param(["codepack", "compress", "trunc.ss32", "-o", "out.cpk"],
+                     "trunc.ss32", "truncated container",
+                     id="codepack-compress"),
+        pytest.param(["run", "trunc.ss32"], "trunc.ss32",
+                     "truncated container", id="run"),
+        pytest.param(["run", "demo.ss32", "--image", "trunc.cpk"],
+                     "trunc.cpk", "truncated container", id="run-image"),
+        pytest.param(["disasm", "trunc.ss32"], "trunc.ss32",
+                     "truncated container", id="disasm"),
+        pytest.param(["densify", "trunc.ss32", "-o", "out.ss16"],
+                     "trunc.ss32", "truncated container", id="densify"),
+    ])
+    def test_one_line_and_exit_1(self, files, argv, culprit, reason):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools." + argv[0]] + argv[1:],
+            cwd=str(files), env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["%s: %s" % (culprit, reason)]
+        assert not (files / "out.cpk").exists()
+        assert not (files / "out.ss16").exists()

@@ -1,10 +1,14 @@
 """Tests for the on-disk containers."""
 
+import json
+
 import pytest
 
 from repro.codepack.compressor import compress_program
 from repro.tools.container import (
     ContainerError,
+    dump_image,
+    dump_program,
     load_image,
     load_program,
     save_image,
@@ -61,6 +65,31 @@ class TestProgramContainer:
             load_program(path)
 
 
+    @pytest.mark.parametrize("mangle, reason", [
+        (lambda text: b"[" + text[1:], "malformed symbol table"),
+        (lambda text: b'"' + b"x" * (len(text) - 2) + b'"',
+         "malformed symbol table"),
+        (lambda text: text[:2] + b"\xff" + text[3:], "malformed UTF-8 text"),
+    ], ids=["bad-json", "not-a-mapping", "bad-utf8"])
+    def test_malformed_symbol_table_rejected(self, tmp_path, mangle,
+                                             reason):
+        prog = make_counting_program(5)
+        data = dump_program(prog)
+        symbols = json.dumps(prog.symbols).encode("utf-8")
+        assert data.count(symbols) == 1
+        path = tmp_path / "prog.ss32"
+        path.write_bytes(data.replace(symbols, mangle(symbols)))
+        with pytest.raises(ContainerError, match=reason):
+            load_program(path)
+
+    def test_malformed_name_rejected(self, tmp_path):
+        prog = make_counting_program(5)
+        assert prog.name
+        path = tmp_path / "prog.ss32"
+        path.write_bytes(dump_program(prog)[:-1] + b"\xff")
+        with pytest.raises(ContainerError, match="malformed UTF-8 text"):
+            load_program(path)
+
 class TestImageContainer:
     def test_roundtrip(self, tmp_path, pegwit_small):
         image = compress_program(pegwit_small)
@@ -102,4 +131,12 @@ class TestImageContainer:
         path = tmp_path / "prog.ss32"
         save_program(path, prog)
         with pytest.raises(ContainerError):
+            load_image(path)
+
+    def test_malformed_name_rejected(self, tmp_path):
+        image = compress_program(make_counting_program(5))
+        assert image.name
+        path = tmp_path / "prog.cpk"
+        path.write_bytes(dump_image(image)[:-1] + b"\xff")
+        with pytest.raises(ContainerError, match="malformed UTF-8 text"):
             load_image(path)
