@@ -3,9 +3,9 @@
 Runs one paper table's whole sweep twice against a fresh cache
 directory -- the cold pass simulates every cell and persists it, the
 warm pass must serve everything from disk -- and pins the contract that
-the warm pass is at least 5x faster.  Also times the batched in-order
-fast path against the per-instruction reference model on the same
-cells.
+the warm pass is at least 5x faster.  Also times the default 1-issue
+``simulate`` (record a trace, replay it on the stream kernel) against
+the execute-driven oracle (``replay=False``) on the same benchmarks.
 
 The measured trajectory lands in ``BENCH_sweep.json`` next to the
 working directory so CI can upload it as an artifact::
@@ -80,39 +80,41 @@ def test_warm_cache_sweep_speedup(tmp_path):
         % (speedup, cold_seconds, warm_seconds))
 
 
-def test_batched_inorder_speedup():
-    """The block model must beat the reference model on the 1-issue
-    sweep (and agree with it cycle-for-cycle -- the differential suite
-    in tests/sim/test_blockexec.py checks exactness; here we record the
-    performance trajectory)."""
+def test_inorder_default_speedup():
+    """The default 1-issue simulate (record + stream replay) must beat
+    the execute-driven oracle (and agree with it cycle-for-cycle -- the
+    differential suite in tests/sim/test_blockexec.py checks exactness;
+    here we record the performance trajectory).  Each default run
+    records its own trace, as a lone call does."""
     wb = Workbench(scale=SWEEP_SCALE)
     rows = {}
-    totals = {"reference": 0.0, "batched": 0.0}
+    totals = {"reference": 0.0, "default": 0.0}
     for bench in SWEEP_BENCHMARKS:
         program = wb.program(bench)
         static = wb.static(bench)
-        # Warm the compiled block table so one-time setup is excluded.
-        simulate(program, ARCH_1_ISSUE, static=static, batched=True)
+        # Warm the compiled block and replay tables so one-time setup
+        # is excluded.
+        simulate(program, ARCH_1_ISSUE, static=static)
         timings = {}
-        for label, batched in (("reference", False), ("batched", True)):
+        for label, replay in (("reference", False), ("default", None)):
             best = float("inf")
             for _ in range(3):
                 begin = time.perf_counter()
                 result = simulate(program, ARCH_1_ISSUE, static=static,
-                                  batched=batched)
+                                  replay=replay)
                 best = min(best, time.perf_counter() - begin)
             timings[label] = best
             timings["%s_cycles" % label] = result.cycles
         totals["reference"] += timings["reference"]
-        totals["batched"] += timings["batched"]
-        timings["speedup"] = timings["reference"] / timings["batched"]
+        totals["default"] += timings["default"]
+        timings["speedup"] = timings["reference"] / timings["default"]
         rows[bench] = timings
-        assert timings["reference_cycles"] == timings["batched_cycles"]
-    overall = totals["reference"] / totals["batched"]
-    print("\nbatched in-order speedup: %.2fx overall (%s)"
+        assert timings["reference_cycles"] == timings["default_cycles"]
+    overall = totals["reference"] / totals["default"]
+    print("\nin-order default speedup over the oracle: %.2fx overall (%s)"
           % (overall, ", ".join("%s %.2fx" % (b, rows[b]["speedup"])
                                 for b in rows)))
-    _write_trajectory({"batched_inorder": {
+    _write_trajectory({"inorder_default": {
         "scale": SWEEP_SCALE,
         "benchmarks": rows,
         "overall_speedup": overall,

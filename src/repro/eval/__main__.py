@@ -16,19 +16,20 @@ Sweep acceleration::
 
 The vectorized replay backend prices the sweep grid in columnar trace
 passes -- the cells of one benchmark that share a pipeline shape make
-one pass.  A pass too narrow to beat per-cell scalar replay is routed
-to it.  ``--jobs N`` composes with it: each worker task is one whole
-pass, heaviest first, so every cell takes the route it takes at
-``--jobs 1``.  On Linux the workers are forks of this process and
-price from the programs, traces and images it already built; other
-platforms build each benchmark once per worker.  On a multi-core host
-prefer ``--jobs auto`` (one worker per CPU); on a single CPU it
-resolves to 1, which prices in-process.  ``--stats`` /
-``--stats-json`` include the routed cell count, a decline histogram
-and ``worker_builds``.  On the default grid the histogram is empty,
-so any entry means some cells the kernels should price fell back to
-scalar replay; ``worker_builds`` counts the artifacts workers had to
-build themselves, 0 when they are forks.
+one pass.  An in-order pass, or one too narrow to beat per-cell scalar
+replay, is routed to it.  ``--jobs N`` composes with it: each worker
+task is one whole pass, heaviest first, so every cell takes the route
+it takes at ``--jobs 1``.  On Linux the workers are forks of this
+process and price from the programs, traces and images it already
+built; other platforms build each benchmark once per worker.  On a
+multi-core host prefer ``--jobs auto`` (one worker per CPU); on a
+single CPU it resolves to 1, which prices in-process.  ``--stats`` /
+``--stats-json`` say where the cells ran (in-process or in workers,
+and how many of each on the kernel) and include the routed cell
+count, a decline histogram and ``worker_builds``.  On the default
+grid the histogram is empty, so any entry means some cells the kernel
+should price fell back to scalar replay; ``worker_builds`` counts the
+artifacts workers had to build themselves, 0 when they are forks.
 """
 
 import argparse
@@ -73,7 +74,7 @@ def profile_hottest(wb):
     program = wb.program(bench)
     static = wb.static(bench)
     image = wb.image(bench) if codepack is not None else None
-    replay = wb.trace(bench) if wb.replay else None
+    replay = wb.trace(bench) if wb.replay else False
     profiler = cProfile.Profile()
     profiler.enable()
     simulate(program, arch, codepack=codepack, image=image, static=static,

@@ -61,12 +61,13 @@ class Workbench:
       (LRU-pruned after each store, mtime order); ``None`` = unbounded.
 
     With replay on, :meth:`prefetch` prices cells with the vectorized
-    replay backend (:mod:`repro.sim.vecreplay`); passes too narrow for
-    the column kernels to pay are routed to the scalar stream kernel
-    per cell, as are cells the kernels cannot serve.  :meth:`run`
-    prices a lone cell on the stream kernel.  The backends are
-    cycle-exact against each other, so every result -- and every memo
-    and cache key -- is the same whichever one priced it.
+    replay backend (:mod:`repro.sim.vecreplay`); in-order passes, and
+    out-of-order passes too narrow for the column kernel to pay, are
+    routed to the scalar stream kernel per cell, as are cells the
+    kernel cannot serve.  :meth:`run` prices a lone cell on the stream
+    kernel.  The backends are cycle-exact against each other, so every
+    result -- and every memo and cache key -- is the same whichever one
+    priced it.
     """
 
     def __init__(self, scale=1.0, max_instructions=5_000_000, cache=None,
@@ -183,7 +184,7 @@ class Workbench:
         program = self.program(bench)
         image = self.image(bench) if codepack is not None else None
         static = self.static(bench)
-        replay = self.trace(bench) if self.replay else None
+        replay = self.trace(bench) if self.replay else False
         with timed_phase(self.stats, "simulate"):
             result = simulate(
                 program, arch, codepack=codepack, image=image,
@@ -222,12 +223,12 @@ class Workbench:
 
         The whole set goes through :func:`vecreplay.price_grid` in one
         invocation, which prices each (pipeline shape, benchmark) pass
-        on the kernels or, when the pass is narrower than the kernel's
-        measured lane crossover, routes its cells back to run on the
-        scalar stream kernel.  A pass is never split, so a cell takes
-        the same route at any ``--jobs`` value.  Routes are counted in
-        ``stats.vec_routed``; cells the kernels cannot serve land in
-        the ``stats.vec_declines`` histogram.
+        on the kernel or, when the pass is in-order or narrower than the
+        kernel's measured lane crossover, routes its cells back to run
+        on the scalar stream kernel.  A pass is never split, so a cell
+        takes the same route at any ``--jobs`` value.  Routes are
+        counted in ``stats.vec_routed``; cells the kernel cannot serve
+        land in the ``stats.vec_declines`` histogram.
         """
         benches = self._prepared(cells)
         routes = {}

@@ -320,8 +320,9 @@ class SweepStats:
     cache_misses: int = 0
     sim_runs: int = 0  # simulations run serially in-process
     vec_cells: int = 0  # cells priced by the vectorized replay backend
-    vec_routed: int = 0  # cells of narrow passes routed to scalar replay
+    vec_routed: int = 0  # cells of passes routed to scalar replay
     parallel_cells: int = 0  # simulations run by pool workers
+    parallel_vec_cells: int = 0  # of those, priced by the vec backend
     parallel_batches: int = 0
     worker_builds: int = 0  # artifacts pool tasks built, not inherited
     trace_pruned_files: int = 0  # trace-cache LRU evictions
@@ -352,6 +353,7 @@ class SweepStats:
             "vec_cells": self.vec_cells,
             "vec_routed": self.vec_routed,
             "parallel_cells": self.parallel_cells,
+            "parallel_vec_cells": self.parallel_vec_cells,
             "parallel_batches": self.parallel_batches,
             "worker_builds": self.worker_builds,
             "trace_pruned_files": self.trace_pruned_files,
@@ -366,11 +368,14 @@ class SweepStats:
 
     def summary(self):
         """SimStats-style multi-line digest."""
+        # vec_cells counts every vec-priced cell; the pool's share of
+        # them ran in workers, not here.
+        local_vec = self.vec_cells - self.parallel_vec_cells
         lines = [
             "sweep: %d simulated in-process (%d vectorized), "
-            "%d in workers (%d batches)"
-            % (self.sim_runs + self.vec_cells, self.vec_cells,
-               self.parallel_cells, self.parallel_batches),
+            "%d in workers (%d vectorized, %d batches)"
+            % (self.sim_runs + local_vec, local_vec, self.parallel_cells,
+               self.parallel_vec_cells, self.parallel_batches),
             "cache: %d hits, %d misses, %d memo hits"
             % (self.cache_hits, self.cache_misses, self.memo_hits),
         ]
@@ -383,9 +388,9 @@ class SweepStats:
                          % (self.trace_pruned_files,
                             self.trace_pruned_bytes))
         if self.vec_routed:
-            lines.append("vec routed: %d cells of passes under the lane "
-                         "crossover, priced by scalar replay"
-                         % self.vec_routed)
+            lines.append("vec routed: %d cells of in-order passes and "
+                         "passes under the lane crossover, priced by "
+                         "scalar replay" % self.vec_routed)
         if self.vec_declines:
             parts = ["%s (%d)" % (reason, count) for reason, count
                      in sorted(self.vec_declines.items())]
@@ -584,7 +589,7 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
         program, static, trace, image = benches[bench]
         result = simulate(program, arch, codepack=codepack, image=image,
                           static=static, max_instructions=max_instructions,
-                          replay=trace if replay else None)
+                          replay=trace if replay else False)
         out.append((result.to_dict(), "scalar"))
     return {"results": out, "declines": declines,
             "routed": sum(routes.values()), "builds": builds}
@@ -616,7 +621,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
     jobs = resolve_jobs(jobs)
     results = {}
 
-    def collect(batch, payload):
+    def collect(batch, payload, pooled=True):
         scalar = 0
         for cell, (d, backend) in zip(batch, payload["results"]):
             results[cell] = SimResult.from_dict(d)
@@ -624,6 +629,8 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
                 continue
             if backend == "vec":
                 stats.vec_cells += 1
+                if pooled:
+                    stats.parallel_vec_cells += 1
             else:
                 scalar += 1
             bench, arch, _codepack = cell
@@ -640,7 +647,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
         if jobs == 1 or len(cells) == 1:
             scalar = collect(cells, _run_batch(
                 scale, max_instructions, cells, replay=replay,
-                trace_dir=trace_dir))
+                trace_dir=trace_dir), pooled=False)
             if stats is not None:
                 stats.sim_runs += scalar
             return results

@@ -70,8 +70,8 @@ class Cache:
     def access_line(self, line):
         """Like :meth:`access` but on a line-granular address.
 
-        The batched fetch path (:meth:`FetchUnit.fetch_run
-        <repro.sim.fetch.FetchUnit.fetch_run>`) already tracks line
+        The trace profile builder
+        (:func:`repro.sim.replay.build_profile`) already tracks line
         numbers, so it skips the byte-address division.
         """
         set_index = line % self.n_sets

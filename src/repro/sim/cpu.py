@@ -176,11 +176,10 @@ class StaticText(list):
     """A predecoded ``.text`` section.
 
     Behaves exactly like the plain list of :class:`StaticInstr` it used
-    to be; the extra slots let the batched in-order model
-    (:mod:`repro.sim.blockexec`) and the trace-replay engines
-    (:mod:`repro.sim.replay`) cache their per-program execution tables
-    on the predecoded program, so sweeps that share one ``static``
-    across hundreds of runs compile them only once.
+    to be; the extra slots let trace recording and the trace-replay
+    engines (:mod:`repro.sim.replay`) cache their per-program execution
+    tables on the predecoded program, so sweeps that share one
+    ``static`` across hundreds of runs compile them only once.
     """
 
     __slots__ = ("block_table", "replay_table")
@@ -505,13 +504,13 @@ class FunctionalCore:
 
 
 # ---------------------------------------------------------------------------
-# Compiled per-instruction closures (the batched model's dispatch)
+# Compiled per-instruction closures (trace recording's dispatch)
 # ---------------------------------------------------------------------------
 #
 # ``compile_exec`` turns one StaticInstr into a specialised closure that
 # performs exactly the architectural effect ``step()`` would, with the
-# operand fields and $zero-write guards baked in at compile time, so the
-# batched in-order model (repro.sim.blockexec) executes straight-line
+# operand fields and $zero-write guards baked in at compile time, so
+# trace recording (repro.sim.replay.record_trace) executes straight-line
 # code without walking the 49-way dispatch chain above.  ``step()`` is
 # deliberately left untouched: it is the oracle the differential tests
 # compare the compiled path against.

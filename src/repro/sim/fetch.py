@@ -179,68 +179,3 @@ class FetchUnit:
             if ready > now:
                 return ready
         return now
-
-    def fetch_run(self, addr, count, now):
-        """Bulk-fetch a straight-line run of *count* 4-byte instructions.
-
-        Returns ``(times, now)``: the availability cycle of each
-        instruction and the advanced fetch clock.  Equivalent to
-        calling :meth:`fetch` once per instruction with the in-order
-        model's ``fetch_time = max(fetch_time, available) + 1``
-        bookkeeping folded in -- but with the line-visit accounting
-        done in one pass: one I-cache access per line visited, one
-        miss-path consultation per missing line, no per-instruction
-        method calls.  Used by the batched in-order model
-        (:mod:`repro.sim.blockexec`) for basic-block bodies.
-        """
-        line_bytes = self.line_bytes
-        words_per_line = line_bytes // INSTRUCTION_BYTES
-        access_line = self.icache.access_line
-        miss = self.miss_path.miss
-        trace = self.trace
-        cur = self._cur_line
-        fill = self._fill
-        times = []
-        append = times.append
-        extend = times.extend
-        while count:
-            line = addr // line_bytes
-            word = (addr % line_bytes) // INSTRUCTION_BYTES
-            # Instructions of this run that sit in the current line.
-            segment = words_per_line - word
-            if segment > count:
-                segment = count
-            if line != cur:
-                cur = line
-                if not access_line(line):
-                    fill = miss(addr, now)
-                    self._fill = fill
-                    if trace is not None:
-                        trace.record(addr, now, fill)
-                    ready = fill.critical_ready
-                    append(ready)
-                    now = (ready if ready > now else now) + 1
-                    addr += INSTRUCTION_BYTES
-                    count -= 1
-                    continue
-            if fill is not None and fill.line_addr == line:
-                # Words of a line still in flight must wait for their
-                # beat; walk this segment one word at a time.
-                word_times = fill.word_times
-                for w in range(word, word + segment):
-                    ready = word_times[w]
-                    if ready > now:
-                        append(ready)
-                        now = ready + 1
-                    else:
-                        append(now)
-                        now += 1
-            else:
-                # Resident line, nothing in flight: the segment streams
-                # one instruction per cycle.
-                extend(range(now, now + segment))
-                now += segment
-            addr += segment * INSTRUCTION_BYTES
-            count -= segment
-        self._cur_line = cur
-        return times, now

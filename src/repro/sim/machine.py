@@ -15,7 +15,6 @@ compression across runs.
 """
 
 from repro.codepack.compressor import compress_program
-from repro.sim.blockexec import run_inorder_blocks
 from repro.sim.branch import make_predictor
 from repro.sim.cache import Cache
 from repro.sim.codepack_engine import CodePackEngine
@@ -56,8 +55,8 @@ def describe_mode(codepack):
 def simulate(program, arch, codepack=None, image=None, static=None,
              max_instructions=DEFAULT_MAX_INSTRUCTIONS, mode=None,
              critical_word_first=True, miss_path=None, pc_index=None,
-             trace=None, native_prefetch=False, batched=None,
-             replay=None, trace_cache=None):
+             trace=None, native_prefetch=False, replay=None,
+             trace_cache=None):
     """Run *program* on *arch*; returns a :class:`SimResult`.
 
     * ``codepack`` -- ``None`` for native code, else a
@@ -70,23 +69,23 @@ def simulate(program, arch, codepack=None, image=None, static=None,
     * ``miss_path`` -- a custom I-miss path (an object with a
       ``miss(addr, now) -> LineFill`` method, e.g. the CCRP or
       software-decompression engines); overrides ``codepack``.
-    * ``batched`` -- use the basic-block in-order model
-      (:mod:`repro.sim.blockexec`).  ``None`` (the default) selects it
-      automatically for in-order machines on the fixed-width SS32
-      layout; ``False`` forces the per-instruction reference model;
-      ``True`` demands the batched model and raises if the
-      configuration cannot use it.  Both models are cycle-exact
-      against each other.
     * ``replay`` -- functional/timing split (:mod:`repro.sim.replay`).
       ``True`` records (or loads from ``trace_cache``) a functional
       trace and runs the timing-only replay engine; a
       :class:`~repro.sim.replay.Trace` replays that trace directly.
-      ``None``/``False`` (the default) executes normally.  Replay is
-      cycle-exact against the execute-driven models; it pays off when
-      one trace is reused across many timing configurations, which is
-      why it is opt-in here and default-on in the sweep.
+      ``False`` runs the execute-driven models
+      (:func:`~repro.sim.inorder.run_inorder` /
+      :func:`~repro.sim.ooo.run_ooo`), the oracle every fast path is
+      tested against.  ``None`` (the default) picks the faster of the
+      two for one run: replay for an in-order machine on the
+      fixed-width SS32 layout (``pc_index`` is ``None``), where
+      recording plus the stream kernel beats the oracle even when the
+      trace is used once; execute-driven otherwise, because recording
+      compiles a closure per static instruction, which one
+      out-of-order run does not win back.  Replay is cycle-exact
+      against the execute-driven models.
     * ``trace_cache`` -- a :class:`~repro.sim.replay.TraceCache`;
-      consulted (and populated) when ``replay=True``.
+      consulted (and populated) when replay records a trace.
 
     Replay prices this one cell on the scalar stream kernel; batch cell
     pricing lives in :func:`repro.sim.vecreplay.price_grid`, which
@@ -111,6 +110,8 @@ def simulate(program, arch, codepack=None, image=None, static=None,
                                    prefetch_next=native_prefetch)
     fetch_unit = FetchUnit(icache, miss_path, trace=trace)
 
+    if replay is None:
+        replay = arch.in_order and pc_index is None
     if replay:
         if pc_index is not None:
             raise ValueError("replay requires the fixed-width SS32 layout "
@@ -141,15 +142,7 @@ def simulate(program, arch, codepack=None, image=None, static=None,
         exit_code = replayed.exit_code
     else:
         core = FunctionalCore(program, static=static, pc_index=pc_index)
-        if batched is None:
-            batched = arch.in_order and pc_index is None
-        elif batched and not (arch.in_order and pc_index is None):
-            raise ValueError("batched=True requires an in-order arch on the "
-                             "fixed-width SS32 layout")
-        if batched:
-            pipeline = run_inorder_blocks
-        else:
-            pipeline = run_inorder if arch.in_order else run_ooo
+        pipeline = run_inorder if arch.in_order else run_ooo
         cycles, lookups, mispredicts = pipeline(
             core, fetch_unit, dcache, channel,
             make_predictor(arch.predictor), arch, max_instructions)

@@ -13,7 +13,7 @@ This module exploits that by splitting the simulator's two halves:
   *fetch-run spans* (start static index + length), taken/not-taken
   outcomes for conditional branches, byte addresses for loads/stores,
   and syscall output events.  Recording executes block-at-a-time over
-  the compiled closures of :mod:`repro.sim.blockexec`, so the one
+  the compiled closures of a :class:`BlockTable`, so the one
   functional pass is itself fast.
 * :func:`replay_trace` re-runs the **timing only**: each dynamic
   instruction is processed in O(1) over preallocated arrays
@@ -59,7 +59,6 @@ from array import array
 from bisect import bisect_left
 from heapq import heapreplace
 
-from repro.sim.blockexec import get_block_table
 from repro.sim.cpu import (
     EX_BRANCH,
     EX_JUMP,
@@ -67,8 +66,10 @@ from repro.sim.cpu import (
     EX_MULT,
     EX_STORE,
     EX_SYSCALL,
+    EX_TERMINATORS,
     FunctionalCore,
     SimulationError,
+    compile_exec,
     exec_class,
     predecode,
 )
@@ -181,15 +182,56 @@ class Trace:
 # Recording (the one-time functional pass)
 # ---------------------------------------------------------------------------
 
+class BlockTable:
+    """Per-program compiled execution table.
+
+    ``ops[i]`` is ``(ex, fn, taken_target)`` for static instruction *i*
+    (``ex`` an EX_* class, ``fn`` its compiled closure from
+    :func:`repro.sim.cpu.compile_exec`, with operand fields and
+    $zero-write guards baked in); ``next_term[i]`` is the index of the
+    first block terminator (branch, jump or syscall) at or after *i*,
+    so the dynamic block starting at *i* spans ``i .. next_term[i]``
+    inclusive.  Jumps into the middle of a static block simply start a
+    shorter dynamic block.
+    """
+
+    __slots__ = ("ops", "next_term")
+
+    def __init__(self, static):
+        self.ops = [(exec_class(st), compile_exec(st), st.taken_target)
+                    for st in static]
+        n = len(static)
+        next_term = [n - 1] * n
+        term = n - 1
+        for i in range(n - 1, -1, -1):
+            if self.ops[i][0] in EX_TERMINATORS:
+                term = i
+            next_term[i] = term
+        self.next_term = next_term
+
+
+def get_block_table(static):
+    """The (cached) :class:`BlockTable` for a predecoded program."""
+    table = getattr(static, "block_table", None)
+    if table is None:
+        table = BlockTable(static)
+        try:
+            static.block_table = table  # StaticText caches; plain lists can't
+        except AttributeError:
+            pass
+    return table
+
+
 def record_trace(program, static=None, max_instructions=5_000_000):
     """Execute *program* functionally once; return its :class:`Trace`.
 
-    Runs block-at-a-time over the compiled closures of
-    :class:`~repro.sim.blockexec.BlockTable` (no timing), recording
-    spans, branch outcomes, memory addresses and output events.  An
-    architectural fault ends the trace and is stored in ``fault``
-    rather than raised -- replaying past the recorded stream re-raises
-    it, mirroring the execute-driven models.
+    Runs block-at-a-time over the compiled closures of a
+    :class:`BlockTable` (no timing), so the pc-to-index mapping and the
+    bounds, budget and halt checks happen once per block visit, and
+    records spans, branch outcomes, memory addresses and output
+    events.  An architectural fault ends the trace and is stored in
+    ``fault`` rather than raised -- replaying past the recorded stream
+    re-raises it, mirroring the execute-driven models.
     """
     if static is None:
         static = predecode(program)
@@ -231,7 +273,7 @@ def record_trace(program, static=None, max_instructions=5_000_000):
             if last >= max_instructions:
                 term -= last - max_instructions + 1
             for j in range(index, term + 1):
-                ex, fn, latency, srcs, dsts, taken_target = ops[j]
+                ex, fn, taken_target = ops[j]
                 if j != term:
                     # Straight-line body: plain/load/store/mult only.
                     if ex == 0:
@@ -632,9 +674,9 @@ class ReplayTable:
     timing models read from a :class:`~repro.sim.cpu.StaticInstr`
     except its address (recomputed incrementally from the span) and its
     functional effect (already recorded).  Operands are padded to fixed
-    slots with ``NO_SRC``/``NO_DST``.  Unlike
-    :class:`~repro.sim.blockexec.BlockTable` no closures are compiled,
-    so replaying a disk-cached trace never pays for compilation.
+    slots with ``NO_SRC``/``NO_DST``.  Unlike :class:`BlockTable` no
+    closures are compiled, so replaying a disk-cached trace never pays
+    for compilation.
     """
 
     __slots__ = ("ops", "ex")

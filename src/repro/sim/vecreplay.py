@@ -20,10 +20,10 @@ traversal over structure-of-arrays NumPy columns:
   lines touched the set since the previous visit), line visits via
   shifted compares.  The result is *equal* to the scalar builder's
   (same array types, same totals) and shares its per-trace cache.
-* :func:`price_cells` prices a family of sweep cells at once: the
-  per-instruction pipeline recurrences (fetch-queue slots, register
-  scoreboard, FU pools, commit ring) run in lockstep across a cell
-  axis, with fetch-queue and commit-slot evolution folded into
+* :func:`price_cells` prices a family of out-of-order sweep cells at
+  once: the per-instruction pipeline recurrences (fetch-queue slots,
+  register scoreboard, FU pools, commit ring) run in lockstep across a
+  cell axis, with fetch-queue and commit-slot evolution folded into
   prefix-max scans over chunks between front-end events.  Native and
   CodePack miss paths become per-event row broadcasts over
   precomputed burst-offset / block-schedule matrices; which events
@@ -32,15 +32,15 @@ traversal over structure-of-arrays NumPy columns:
   :class:`~repro.sim.codepack_engine.EngineStats`) for every cell of
   the class.
 * :func:`price_grid` takes the whole sweep grid in one invocation and
-  routes each *pass* -- one (pipeline shape, benchmark) pair -- by its
-  width: a pass narrower than its kernel's measured lane crossover
-  (:data:`MIN_LANES_OOO`, :data:`MIN_LANES_INORDER`) comes back
-  unpriced and counted as a route, because the scalar stream kernel
-  prices its few cells faster one by one.  A cap inside the trace
-  prices :func:`repro.sim.replay.trace_prefix`, so every kernel pass
-  runs to the end of its trace.  Whatever a kernel cannot serve is
-  recorded in a caller-supplied decline histogram rather than
-  silently skipped; a route is never a decline.
+  routes each *pass* -- one (pipeline shape, benchmark) pair: an
+  in-order pass, or an out-of-order pass narrower than the kernel's
+  measured lane crossover (:data:`MIN_LANES_OOO`), comes back unpriced
+  and counted as a route, because the scalar stream kernel prices its
+  cells faster one by one.  A cap inside the trace prices
+  :func:`repro.sim.replay.trace_prefix`, so every kernel pass runs to
+  the end of its trace.  Whatever the kernel cannot serve is recorded
+  in a caller-supplied decline histogram rather than silently
+  skipped; a route is never a decline.
 
 Everything here is an accelerator, not a model: the execute-driven
 models remain the oracle, and the differential suite in
@@ -64,7 +64,6 @@ from repro.sim.cpu import (
     EX_MULT,
     EX_STORE,
 )
-from repro.sim.inorder import DECODE_LATENCY
 from repro.sim.machine import describe_mode
 from repro.sim.ooo import FRONT_END_LATENCY
 from repro.sim.replay import TraceProfile, get_replay_table, trace_prefix
@@ -681,7 +680,7 @@ class _Subgroup:
                  "cp_segs", "blocks1", "base1", "class_walks",
                  "nbytes1", "cp_sl", "rel1", "idxadd1", "bh1", "upd1",
                  "bh_any", "upd_any", "abs_buf", "ready_buf",
-                 "nat_sl", "noff1", "descw", "lastbeat1", "busy_cp",
+                 "nat_sl", "noff1", "lastbeat1", "busy_cp",
                  "busy_tmp", "nobh1")
 
     def __init__(self, sl, icache):
@@ -911,11 +910,11 @@ def _get_profile_for(static, trace, arch):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep pipeline kernels
+# Lockstep pipeline kernel
 # ---------------------------------------------------------------------------
 #
-# Both scalar timing engines keep a fetch "slot" (a (cycle, count)
-# pair advancing `width` per cycle) and, out of order, a commit slot.
+# The out-of-order timing engine keeps a fetch "slot" (a (cycle, count)
+# pair advancing `width` per cycle) and a commit slot.
 # Encoding slot = cycle * width + count turns every scalar update into
 # one of two array forms --
 #
@@ -930,11 +929,12 @@ def _get_profile_for(static, trace, arch):
 #     slot_k = k + max(F, max_{m<=k}(A_m - m))
 #
 # and similarly for the commit slot with A_k = (complete_k+1)*W + 1.
-# The out-of-order kernel chunks the trace at front-end events,
-# redirects (jumps, taken/mispredicted branches) and the RUU size (so
-# ring reads stay pre-chunk), running the per-instruction dispatch /
-# FU / scoreboard recurrence across all cells at once inside each
-# chunk.  The in-order kernel is a straight per-instruction lockstep.
+# The kernel chunks the trace at front-end events, redirects (jumps,
+# taken/mispredicted branches) and the RUU size (so ring reads stay
+# pre-chunk), running the per-instruction dispatch / FU / scoreboard
+# recurrence across all cells at once inside each chunk.  In-order
+# passes have no kernel here: :func:`price_grid` routes them to the
+# scalar stream kernel.
 
 _NO_DEP = -(1 << 62)
 
@@ -984,13 +984,11 @@ def _dyn_deps(trace, dyn):
     ``deps[0][i]``/``deps[1][i]`` name the dynamic instruction that
     last wrote the i-th instruction's first/second source (``_NO_DEP``
     for an absent source, a never-written slot, or a duplicate of the
-    first writer), as plain lists for the kernels' scalar indexing;
-    ``deps[2]``/``deps[3]`` are the same as ``int64`` arrays and
-    ``deps[4]`` is the ``(n, 6)`` op matrix, for vectorized break-set
-    precomputation.  A pure property of the dynamic op stream, so it
-    is memoised on the trace and shared by every cell group -- the
-    kernels then carry no scoreboard at all, just these indices
-    against their completion-time state.
+    first writer), as plain lists for the kernel's scalar indexing.
+    A pure property of the dynamic op stream, so only the two lists
+    are memoised on the trace and shared by every cell group -- the
+    kernel then carries no scoreboard at all, just these indices
+    against its completion-time state.
     """
     deps = getattr(trace, "_vdeps", None)
     if deps is None:
@@ -1018,7 +1016,7 @@ def _dyn_deps(trace, dyn):
         if n:
             j0[0] = _NO_DEP
             j1[0] = _NO_DEP
-        trace._vdeps = deps = (j0.tolist(), j1.tolist(), j0, j1, opmat)
+        trace._vdeps = deps = (j0.tolist(), j1.tolist())
     return deps
 
 
@@ -1404,187 +1402,6 @@ def _run_ooo_group(subgroups, C, n, dyn, kinds, dmiss, brk, arch, dlat,
     return K
 
 
-def _run_inorder_group(subgroups, C, n, dyn, dmiss, brk, arch, dlat,
-                       cols, deps):
-    """Event-driven 1-issue in-order kernel.
-
-    A "light" instruction -- unit latency, no FU contention, no fetch
-    event or open consult window, no binding dependency -- advances
-    every timing quantity by exactly one slot, so a whole run of them
-    folds to closed form: ``issue_end = max(PI + gap, FT + D + gap-1)``
-    (the chain grows +1 per step and the fetch floor moves in
-    lock-step), ``FT += gap`` and ``LC = max(LC, issue_end + 1)``
-    (issue is strictly increasing, so the run's last completion
-    dominates).  Light register writes can never bind: a lat-1 value
-    completes at ``issue + 1``, which the +1-per-step issue chain
-    already dominates by the time any later reader could consult it.
-    Only the precomputed *break* positions -- fetch events and their
-    consult windows, loads that miss, multiplies, lat>1 producers and
-    their readers, mispredicted branches -- run the per-instruction
-    model.
-    """
-    penalty = arch.mispredict_penalty
-    FT = np.zeros(C, dtype=np.int64)
-    PI = np.full(C, -1, dtype=np.int64)
-    MF = np.zeros(C, dtype=np.int64)
-    LC = np.zeros(C, dtype=np.int64)
-    IS = np.empty(C, dtype=np.int64)
-    CPL = np.empty(C, dtype=np.int64)
-    T1 = np.empty(C, dtype=np.int64)
-    maximum = np.maximum
-    add = np.add
-
-    BUSY = None
-    if arch.shared_memory_bus:
-        # Single-port bus: one busy-until column per cell (see the
-        # out-of-order kernel); requests happen in program order here
-        # too (the fill at a break, then that instruction's D-miss).
-        BUSY = np.zeros(C, dtype=np.int64)
-        for sg in subgroups:
-            if sg.cp_sl is not None:
-                sg.busy_cp = BUSY[sg.sl][sg.cp_sl]
-
-    # ---- break-set precomputation (pure array work) ------------------
-    j0np, j1np, opmat = deps[2], deps[3], deps[4]
-    dmiss_np = np.frombuffer(bytes(dmiss), dtype=np.uint8)
-    brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)
-    miss_mask = np.zeros(n, dtype=bool)
-    miss_mask[cols.mpos[cols.is_load & (dmiss_np != 0)]] = True
-    brk2_mask = np.zeros(n, dtype=bool)
-    brk2_mask[cols.bpos[brk_np == 2]] = True
-    heavy = miss_mask | (opmat[:, 1] > 1) | (cols.ex == EX_MULT)
-    hpos = np.flatnonzero(heavy)
-    hmap = np.full(n, -1, dtype=np.int64)
-    hmap[hpos] = np.arange(len(hpos))
-    hregs = np.empty((len(hpos), C), dtype=np.int64)
-    breaks = heavy | brk2_mask
-    m = j0np >= 0
-    breaks[m] |= heavy[j0np[m]]
-    m = j1np >= 0
-    breaks[m] |= heavy[j1np[m]]
-    for sg in subgroups:
-        fp = np.frombuffer(sg.fe_pos, dtype=np.int64)
-        fl = np.frombuffer(bytes(sg.fe_flags), dtype=np.uint8)
-        # State-bearing events and the events that close their consult
-        # windows are breaks; the window interiors fold vectorized.
-        nz = np.flatnonzero(fl)
-        breaks[fp[nz]] = True
-        closers = nz + 1
-        closers = closers[closers < len(fp)]
-        breaks[fp[closers]] = True
-        sg.descw = np.arange(sg.words - 1, -1, -1, dtype=np.int64)
-    bp = np.flatnonzero(breaks).tolist()
-    bp.append(n)  # sentinel: final light run flushes against it
-
-    flag1 = []
-    prev = 0
-    for i in bp:
-        gap = i - prev
-        if gap > 0:
-            # Light run [prev, i): skipped fetch events in it are
-            # plain hit-visits with no open window (state-bearing
-            # events and their closers are breaks), so they only need
-            # the cursor advanced.  An *open* consult window folds too:
-            # position k streams word w+k-prev, so the run's fetch
-            # floor is R = max_k(fill[w+k-prev] + (i-1-k)) -- each
-            # streamed word plus the +1-per-step drift to the run's
-            # end -- giving issue_end an extra R + D term and FT an
-            # extra R + 1 term.
-            for sg in subgroups:
-                fi = sg.fi
-                fe_pos = sg.fe_pos
-                n_fe = sg.n_fe
-                while fi < n_fe and fe_pos[fi] < i:
-                    fi += 1
-                sg.fi = fi
-                sg.next_fe = fe_pos[fi] if fi < n_fe else n
-            add(PI, gap, T1)
-            add(FT, DECODE_LATENCY + gap - 1, IS)
-            maximum(IS, T1, out=IS)
-            FT += gap
-            for sg in subgroups:
-                if sg.consult:
-                    w = sg.w
-                    if w + gap > sg.words:
-                        raise _VecUnsupported(
-                            "fill consult overran the line")
-                    R = (sg.fill_mat[:, w:w + gap]
-                         + sg.descw[sg.words - gap:]).max(axis=1)
-                    sl = sg.sl
-                    maximum(IS[sl], R + DECODE_LATENCY, out=IS[sl])
-                    maximum(FT[sl], R + 1, out=FT[sl])
-                    sg.w = w + gap
-            add(IS, 1, T1)
-            maximum(LC, T1, out=LC)
-            PI, IS = IS, PI
-        if i == n:
-            break
-        ex = dyn[i][0]
-        lat = dyn[i][1]
-        del flag1[:]
-        for sg in subgroups:
-            if sg.next_fe == i:
-                f = sg.fe_flags[sg.fi]
-                if f == 1:
-                    addr = sg.fe_addr[sg.fi]
-                    crit, critw = sg.fill_event(FT[sg.sl], addr)
-                    maximum(FT[sg.sl], crit, out=FT[sg.sl])
-                    # `available` stays the (unfloored) critical word
-                    flag1.append((sg, crit))
-                    sg.w = critw + 1
-                    sg.consult = True
-                elif f:
-                    addr = sg.fe_addr[sg.fi]
-                    w0 = (addr % sg.line_bytes) >> 2
-                    maximum(FT[sg.sl], sg.fill_mat[:, w0], out=FT[sg.sl])
-                    sg.w = w0 + 1
-                    sg.consult = True
-                else:
-                    sg.consult = False
-                sg.fi += 1
-                sg.next_fe = sg.fe_pos[sg.fi] if sg.fi < sg.n_fe else n
-            elif sg.consult:
-                if sg.w >= sg.words:
-                    raise _VecUnsupported("fill consult overran the line")
-                maximum(FT[sg.sl], sg.fill_mat[:, sg.w], out=FT[sg.sl])
-                sg.w += 1
-        add(FT, DECODE_LATENCY, out=IS)
-        for sg, crit in flag1:
-            add(crit, DECODE_LATENCY, out=IS[sg.sl])
-        add(PI, 1, out=T1)
-        maximum(IS, T1, out=IS)
-        j = j0np[i]
-        if j >= 0 and hmap[j] >= 0:
-            maximum(IS, hregs[hmap[j]], out=IS)
-        j = j1np[i]
-        if j >= 0 and hmap[j] >= 0:
-            maximum(IS, hregs[hmap[j]], out=IS)
-        if ex == EX_MULT:
-            maximum(IS, MF, out=IS)
-            add(IS, lat, out=CPL)
-            MF[:] = CPL
-        elif miss_mask[i]:
-            if BUSY is None:
-                add(IS, dlat, out=CPL)
-            else:
-                maximum(IS, BUSY, out=T1)
-                add(T1, dlat, out=CPL)
-                np.subtract(CPL, 1, out=BUSY)
-        else:
-            add(IS, lat, out=CPL)
-        if hmap[i] >= 0:
-            hregs[hmap[i]] = CPL
-        PI, IS = IS, PI
-        maximum(LC, CPL, out=LC)
-        if brk2_mask[i]:
-            add(CPL, penalty - lat, out=T1)
-            maximum(FT, T1, out=FT)
-        else:
-            FT += 1
-        prev = i + 1
-    return LC
-
-
 # ---------------------------------------------------------------------------
 # price_cells: the public group-pricing entry point
 # ---------------------------------------------------------------------------
@@ -1614,19 +1431,14 @@ def _price_group(program, group_cells, static, trace, image,
     prof0 = subgroups[0].profile
     dmiss = prof0.dmiss
     brk = prof0.brk
-    if arch0.in_order:
-        cycles = _run_inorder_group(subgroups, C, n, dyn, dmiss, brk,
-                                    arch0, dlat, cols,
-                                    _dyn_deps(trace, dyn))
-    else:
-        brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)
-        redirects = np.union1d(np.flatnonzero(cols.ex == EX_JUMP),
-                               cols.bpos[brk_np != 0])
-        rlist = redirects.tolist()
-        rlist.append(n + 1)  # sentinel past the last chunk
-        cycles = _run_ooo_group(subgroups, C, n, dyn,
-                                _dyn_kinds(trace, dyn), dmiss, brk,
-                                arch0, dlat, rlist, _dyn_deps(trace, dyn))
+    brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)
+    redirects = np.union1d(np.flatnonzero(cols.ex == EX_JUMP),
+                           cols.bpos[brk_np != 0])
+    rlist = redirects.tolist()
+    rlist.append(n + 1)  # sentinel past the last chunk
+    cycles = _run_ooo_group(subgroups, C, n, dyn, _dyn_kinds(trace, dyn),
+                            dmiss, brk, arch0, dlat, rlist,
+                            _dyn_deps(trace, dyn))
 
     # A priced trace ends at a halt or at the cap (price_grid declines
     # a fault within the cap), so an unhalted one was cut short.
@@ -1679,14 +1491,13 @@ def _price_group(program, group_cells, static, trace, image,
     return results
 
 
-#: Fewest lanes (cells) a kernel pass must carry to beat
+#: Fewest lanes (cells) an out-of-order kernel pass must carry to beat
 #: pricing each of its cells on the scalar stream kernel
-#: (``_replay_ooo_stream`` / ``_replay_inorder_stream`` in
-#: :mod:`repro.sim.replay`).  A lockstep pass pays a fixed cost per
-#: simulated instruction however few lanes it has, so below these
-#: widths it loses; they are the crossovers measured in DESIGN.md §7e.
+#: (``_replay_ooo_stream`` in :mod:`repro.sim.replay`).  A lockstep
+#: pass pays a fixed cost per simulated instruction however few lanes
+#: it has, so below this width it loses; it is the crossover measured
+#: in DESIGN.md §7e.
 MIN_LANES_OOO = 12
-MIN_LANES_INORDER = 7
 
 
 def price_grid(benches, cells, *, max_instructions,
@@ -1708,20 +1519,21 @@ def price_grid(benches, cells, *, max_instructions,
     (:func:`repro.sim.replay.trace_prefix`), exactly as scalar replay
     does.
 
-    A pass with fewer lanes than ``min_lanes`` is *routed*: its cells
-    come back unpriced, because the scalar stream kernel prices them
-    faster one by one.  ``min_lanes`` defaults to the measured
-    crossover of the pass's kernel (:data:`MIN_LANES_OOO`,
-    :data:`MIN_LANES_INORDER`); ``1`` forces the kernel at every
-    width.
+    Only out-of-order passes have a kernel.  Every in-order pass is
+    *routed*: its cells come back unpriced for the scalar stream kernel
+    (``_replay_inorder_stream``), whatever ``min_lanes`` says.  An
+    out-of-order pass with fewer lanes than ``min_lanes`` is routed
+    too, because the stream kernel prices its cells faster one by one.
+    ``min_lanes`` defaults to the measured crossover
+    :data:`MIN_LANES_OOO`; ``1`` forces the kernel at every width.
 
     Returns ``{cell_index: SimResult}`` for the cells priced here;
     callers run the rest through the scalar engines.  When *routes*
     (a ``Counter``-like mapping) is given, routed cells are counted
-    there per kernel (``"ooo"``, ``"inorder"``).  When *declines* is
-    given, every cell the kernels could not serve is counted there
-    under its reason, so a silent regression to scalar pricing shows
-    up in sweep stats; a route is never a decline.
+    there per machine model (``"ooo"``, ``"inorder"``).  When
+    *declines* is given, every cell the kernel could not serve is
+    counted there under its reason, so a silent regression to scalar
+    pricing shows up in sweep stats; a route is never a decline.
     """
     out = {}
 
@@ -1749,12 +1561,10 @@ def price_grid(benches, cells, *, max_instructions,
             decline(len(bcells), "empty replay window")
             continue
         in_order = bcells[0][1].in_order
-        floor = min_lanes or (MIN_LANES_INORDER if in_order
-                              else MIN_LANES_OOO)
-        if len(bcells) < floor:
+        if in_order or len(bcells) < (min_lanes or MIN_LANES_OOO):
             if routes is not None:
-                kernel = "inorder" if in_order else "ooo"
-                routes[kernel] = routes.get(kernel, 0) + len(bcells)
+                model = "inorder" if in_order else "ooo"
+                routes[model] = routes.get(model, 0) + len(bcells)
             continue
         if max_instructions < trace.n:
             trace = trace_prefix(trace, static, max_instructions)
@@ -1775,9 +1585,10 @@ def price_cells(program, cells, *, static, trace, image=None,
 
     Single-benchmark wrapper over :func:`price_grid`: ``cells`` is a
     sequence of ``(arch, codepack)`` pairs and the returned mapping is
-    keyed by each cell's index in it.  Passes narrower than
-    ``min_lanes`` are routed exactly as there; pass ``min_lanes=1`` to
-    price every cell on the kernels.
+    keyed by each cell's index in it.  In-order passes, and
+    out-of-order passes narrower than ``min_lanes``, are routed exactly
+    as there; pass ``min_lanes=1`` to price every out-of-order cell on
+    the kernel.
     """
     key = program.name if program is not None else "bench"
     benches = {key: (program, static, trace, image)}

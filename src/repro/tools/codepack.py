@@ -12,6 +12,7 @@ import sys
 
 from repro.codepack.compressor import compress_program
 from repro.codepack.decompressor import decompress_program
+from repro.codepack.errors import DecompressionError
 from repro.tools.container import (
     load_for_cli,
     load_image,
@@ -64,7 +65,12 @@ def _cmd_verify(args):
     image = load_for_cli(load_image, args.image)
     if image is None:
         return 1
-    decoded = decompress_program(image)
+    try:
+        decoded = decompress_program(image)
+    except (DecompressionError, EOFError) as error:
+        # A damaged code stream in an intact container.
+        print("%s: %s" % (args.image, error), file=sys.stderr)
+        return 1
     if decoded != program.text:
         first = next((i for i, (a, b) in
                       enumerate(zip(decoded, program.text)) if a != b),

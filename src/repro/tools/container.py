@@ -206,7 +206,11 @@ def parse_image(data):
     for scheme in (HIGH_SCHEME, LOW_SCHEME):
         count = reader.u16()
         entries = list(struct.unpack("<%dH" % count, reader.take(2 * count)))
-        dictionaries.append(Dictionary(scheme, entries))
+        try:
+            dictionaries.append(Dictionary(scheme, entries))
+        except ValueError as error:  # e.g. a flipped bit duplicates an entry
+            raise ContainerError("malformed dictionary: %s" % error) \
+                from None
     index_entries = [unpack_index_entry(reader.u32())
                      for _ in range(reader.u32())]
     blocks = []

@@ -63,7 +63,8 @@ def main(argv=None):
     parser.add_argument("--replay", action="store_true", default=None,
                         help="functional/timing split: record the trace "
                              "once and drive the timing-only replay "
-                             "engine (implied by --trace-cache)")
+                             "engine (implied by --trace-cache; the "
+                             "default for the in-order 1-issue machine)")
     parser.add_argument("--no-replay", dest="replay",
                         action="store_false",
                         help="force execute-driven simulation")
@@ -83,8 +84,11 @@ def main(argv=None):
 
     trace_cache = TraceCache(args.trace_cache) if args.trace_cache \
         else None
-    replay = args.replay if args.replay is not None \
-        else trace_cache is not None
+    # No flag leaves the choice to simulate() (replay=None), unless a
+    # trace cache asks for replay.
+    replay = args.replay
+    if replay is None and trace_cache is not None:
+        replay = True
 
     if args.compare:
         # One functional pass serves all three timing models.

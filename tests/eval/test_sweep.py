@@ -438,6 +438,26 @@ class TestVecRoutes:
         for key, result in wbs[1]._results.items():
             assert wbs[2]._results[key].to_dict() == result.to_dict()
 
+    def test_stats_say_where_cells_ran(self):
+        # At jobs=2 the workers price every cell, the kernel-priced
+        # ones included: the summary and the JSON count none of them
+        # in-process.
+        from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
+
+        wb = Workbench(scale=self.SCALE, jobs=2)
+        cells = list(sweep_cells(list(ALL_EXPERIMENTS), wb=wb,
+                                 benchmarks=["pegwit"]))
+        wb.prefetch(cells)
+        stats = wb.stats
+        assert stats.sim_runs == 0
+        assert stats.parallel_cells == len(cells)
+        assert stats.parallel_vec_cells == stats.vec_cells > 0
+        assert stats.summary().splitlines()[0] == (
+            "sweep: 0 simulated in-process (0 vectorized), %d in workers "
+            "(%d vectorized, %d batches)"
+            % (len(cells), stats.vec_cells, stats.parallel_batches))
+        assert stats.as_dict()["parallel_vec_cells"] == stats.vec_cells
+
 
 class TestInheritedArtifacts:
     """Pool workers price from the Workbench's prepared artifacts: a

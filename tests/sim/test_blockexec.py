@@ -1,23 +1,25 @@
-"""Differential suite: the batched in-order model vs the reference.
+"""Block-at-a-time execution and the in-order fast path built on it.
 
-:mod:`repro.sim.blockexec` promises cycle-exactness against
-:func:`repro.sim.inorder.run_inorder` driving ``FunctionalCore.step``.
-These tests hold it to that across the benchmark suite, the CodePack
-and native miss paths, every ablation knob of the in-order machine,
-instruction-budget truncation, miss traces and architectural faults.
+Trace recording (:func:`repro.sim.replay.record_trace`) executes a
+program block-at-a-time over the compiled closures of a
+:class:`~repro.sim.replay.BlockTable`, and :func:`repro.sim.machine
+.simulate` runs an in-order machine on the SS32 layout by default by
+recording that trace and replaying it on the stream kernel.  These
+tests hold the default path to the oracle -- ``replay=False``, which
+is :func:`repro.sim.inorder.run_inorder` driving ``FunctionalCore.step``
+-- across the benchmark suite, the CodePack and native miss paths,
+every ablation knob of the in-order machine, instruction-budget
+truncation, miss traces and architectural faults, and check which
+path ``simulate`` takes.
 """
 
 import dataclasses
 
 import pytest
 
+import repro.sim.machine as machine
 from repro.eval.experiments import CP_BASELINE, CP_OPTIMIZED
 from repro.isa.assembler import assemble
-from repro.sim.blockexec import (
-    BlockTable,
-    get_block_table,
-    run_inorder_blocks,
-)
 from repro.sim.config import ARCH_1_ISSUE, ARCH_4_ISSUE
 from repro.sim.cpu import (
     EX_TERMINATORS,
@@ -26,6 +28,7 @@ from repro.sim.cpu import (
     predecode,
 )
 from repro.sim.machine import prepare, simulate
+from repro.sim.replay import BlockTable, get_block_table, record_trace
 from repro.sim.trace import MissTrace
 from repro.workloads.suite import build_benchmark
 
@@ -50,10 +53,10 @@ def result_state(result):
 
 
 def both(program, static, **kwargs):
-    ref = simulate(program, ARCH_1_ISSUE, static=static, batched=False,
+    """The oracle's run and the default (fast path) run, 1-issue."""
+    ref = simulate(program, ARCH_1_ISSUE, static=static, replay=False,
                    **kwargs)
-    fast = simulate(program, ARCH_1_ISSUE, static=static, batched=True,
-                    **kwargs)
+    fast = simulate(program, ARCH_1_ISSUE, static=static, **kwargs)
     return ref, fast
 
 
@@ -70,9 +73,8 @@ class TestDifferentialSuite:
         program, static = suite["cc1"]
         arch = ARCH_1_ISSUE.with_shared_bus()
         ref = simulate(program, arch, static=static, codepack=CP_BASELINE,
-                       batched=False)
-        fast = simulate(program, arch, static=static, codepack=CP_BASELINE,
-                        batched=True)
+                       replay=False)
+        fast = simulate(program, arch, static=static, codepack=CP_BASELINE)
         assert result_state(ref) == result_state(fast)
 
     def test_no_critical_word_first(self, suite):
@@ -97,20 +99,12 @@ class TestDifferentialSuite:
         program, static = suite["cc1"]
         ref_trace, fast_trace = MissTrace(), MissTrace()
         simulate(program, ARCH_1_ISSUE, static=static, codepack=CP_BASELINE,
-                 batched=False, trace=ref_trace)
+                 replay=False, trace=ref_trace)
         simulate(program, ARCH_1_ISSUE, static=static, codepack=CP_BASELINE,
-                 batched=True, trace=fast_trace)
-        assert ref_trace.count == fast_trace.count
+                 trace=fast_trace)
+        assert ref_trace.count == fast_trace.count > 0
         assert ([dataclasses.astuple(e) for e in ref_trace.events]
                 == [dataclasses.astuple(e) for e in fast_trace.events])
-
-    def test_default_selects_batched_for_inorder(self, suite):
-        # batched=None (the default) must route in-order SS32 runs
-        # through the block model and agree with an explicit True.
-        program, static = suite["pegwit"]
-        auto = simulate(program, ARCH_1_ISSUE, static=static)
-        forced = simulate(program, ARCH_1_ISSUE, static=static, batched=True)
-        assert result_state(auto) == result_state(forced)
 
 
 class TestFaultExactness:
@@ -118,10 +112,10 @@ class TestFaultExactness:
         program = assemble(source)
         static = prepare(program)
         states = []
-        for batched in (False, True):
+        for replay in (False, None):
             with pytest.raises(SimulationError) as err:
                 simulate(program, ARCH_1_ISSUE, static=static,
-                         batched=batched, **kwargs)
+                         replay=replay, **kwargs)
             states.append(str(err.value))
         return states
 
@@ -141,54 +135,54 @@ class TestFaultExactness:
         assert ref == fast
 
     def test_fault_core_state_matches(self):
-        # The faulting pc and retired-instruction count must match the
-        # reference model exactly, mid-block.
+        # Block-at-a-time recording must stop exactly where the
+        # oracle's core stops, mid-block: same retired-instruction
+        # count, next pc at the faulting instruction, same fault.
         source = ".text 0x400000\nli $t0, 0x10000001\nlw $t1, 0($t0)"
         program = assemble(source)
         static = prepare(program)
-        cores = []
-        for batched in (False, True):
-            from repro.sim.cache import Cache
-            from repro.sim.branch import make_predictor
-            from repro.sim.fetch import FetchUnit, NativeMissPath
-            from repro.sim.inorder import run_inorder
-            from repro.sim.memory import MemoryChannel
-
-            arch = ARCH_1_ISSUE
-            core = FunctionalCore(program, static=static)
-            channel = MemoryChannel(arch.memory)
-            fetch_unit = FetchUnit(
-                Cache(arch.icache),
-                NativeMissPath(channel, arch.icache.line_bytes))
-            pipeline = run_inorder_blocks if batched else run_inorder
-            with pytest.raises(SimulationError):
-                pipeline(core, fetch_unit, Cache(arch.dcache), channel,
-                         make_predictor(arch.predictor), arch, 1000)
-            cores.append((core.pc, core.instret))
-        assert cores[0] == cores[1]
+        core = FunctionalCore(program, static=static)
+        with pytest.raises(SimulationError) as err:
+            core.run(1000)
+        trace = record_trace(program, static=static, max_instructions=1000)
+        assert trace.fault == str(err.value)
+        assert trace.n == core.instret
+        end = trace.span_start[-1] + trace.span_len[-1]
+        assert trace.text_base + 4 * end == core.pc
 
 
 class TestModelSelection:
-    def test_batched_true_rejects_ooo(self, suite):
-        program, static = suite["pegwit"]
-        with pytest.raises(ValueError):
-            simulate(program, ARCH_4_ISSUE, static=static, batched=True)
+    """Which path simulate() takes: only the replay path records."""
 
-    def test_batched_true_rejects_pc_index(self, suite):
+    @pytest.fixture
+    def no_recording(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate recorded a trace")
+        monkeypatch.setattr(machine, "record_trace", refuse)
+
+    def test_oracle_never_records(self, suite, no_recording):
+        program, static = suite["pegwit"]
+        result = simulate(program, ARCH_1_ISSUE, static=static,
+                          replay=False)
+        assert result.instructions > 0
+        assert not result.extra["truncated"]
+
+    def test_default_records_inorder(self, suite, no_recording):
+        program, static = suite["pegwit"]
+        with pytest.raises(AssertionError, match="recorded a trace"):
+            simulate(program, ARCH_1_ISSUE, static=static)
+
+    def test_default_with_pc_index_executes(self, suite, no_recording):
+        # An explicit pc_index (variable-length layouts) has no trace
+        # format, so the default stays execute-driven.
         program, static = suite["pegwit"]
         pc_index = {st.addr: i for i, st in enumerate(static)}
-        with pytest.raises(ValueError):
-            simulate(program, ARCH_1_ISSUE, batched=True, pc_index=pc_index)
+        got = simulate(program, ARCH_1_ISSUE, pc_index=pc_index)
+        ref = simulate(program, ARCH_1_ISSUE, static=static, replay=False)
+        assert result_state(got) == result_state(ref)
 
-    def test_run_inorder_blocks_rejects_pc_index(self, suite):
-        program, static = suite["pegwit"]
-        pc_index = {st.addr: i for i, st in enumerate(static)}
-        core = FunctionalCore(program, pc_index=pc_index)
-        with pytest.raises(ValueError):
-            run_inorder_blocks(core, None, None, None, None, ARCH_1_ISSUE, 1)
-
-    def test_ooo_archs_still_run(self, suite):
-        # batched=None on an OOO machine silently uses the OOO model.
+    def test_ooo_archs_still_run(self, suite, no_recording):
+        # replay=None on an OOO machine runs the OOO model directly.
         program, static = suite["pegwit"]
         result = simulate(program, ARCH_4_ISSUE, static=static)
         assert result.instructions > 0

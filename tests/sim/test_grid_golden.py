@@ -13,8 +13,10 @@
   (``bench/arch/mode@cap``): cc1 and pegwit, caps 1, 37, 997 and 4999,
   the 1/4/8-issue machines plus the 4-issue shared bus, native,
   CodePack and optimized CodePack.  Each is checked three ways: replay
-  of the full-length trace, ``price_cells`` forced onto the kernels,
-  and the execute-driven model, the oracle.
+  of the full-length trace; ``price_cells`` forced onto the kernel,
+  with the in-order cells it routes priced on the stream kernel as the
+  Workbench prices them; and the execute-driven model
+  (``replay=False``), the oracle.
 
 The differential suites compare one backend with another; this one
 compares every backend with fixed numbers, so a change that moves both
@@ -116,14 +118,27 @@ def capped_digests(artifacts, backend):
             batches.setdefault((bench, cap), []).append((arch, codepack))
         for (bench, cap), cells in batches.items():
             program, static, image, trace = artifacts[bench]
+            routes = {}
             with naming("%s/*@%d" % (bench, cap), backend):
                 priced = price_cells(program, cells, static=static,
                                      trace=trace, image=image,
-                                     max_instructions=cap, min_lanes=1)
+                                     max_instructions=cap, min_lanes=1,
+                                     routes=routes)
+            # Every in-order cell is routed, and only those.
+            routed = [pos for pos in range(len(cells)) if pos not in priced]
+            assert routed == [pos for pos, (arch, _) in enumerate(cells)
+                              if arch.in_order]
+            assert routes == {"inorder": len(routed)}
             for pos, (arch, codepack) in enumerate(cells):
+                name = cell_name(bench, arch, codepack, cap)
                 if pos in priced:
-                    out[cell_name(bench, arch, codepack, cap)] = \
-                        digest(priced[pos])
+                    out[name] = digest(priced[pos])
+                    continue
+                with naming(name, backend):
+                    out[name] = digest(simulate(
+                        program, arch, codepack=codepack,
+                        image=image if codepack else None, static=static,
+                        max_instructions=cap, replay=trace))
         return out
     for bench, cap, arch, codepack in capped_cells():
         program, static, image, trace = artifacts[bench]
@@ -133,7 +148,7 @@ def capped_digests(artifacts, backend):
                 program, arch, codepack=codepack,
                 image=image if codepack else None, static=static,
                 max_instructions=cap,
-                replay=trace if backend == "replay" else None))
+                replay=trace if backend == "replay" else False))
     return out
 
 

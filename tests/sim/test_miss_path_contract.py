@@ -4,6 +4,12 @@ The FetchUnit and both pipeline models rely on these properties from
 *any* miss path (native, native+prefetch, CodePack, CCRP, DictWord,
 software): causality (nothing ready before the request), completeness
 (one time per line word), and consistency (critical/fill bounds).
+
+Trace replay relies on one more: a miss path may keep state of its own
+(buffers, index caches), but must not change what the caches or the
+branch predictor see, so a replayed run consults it at exactly the
+misses the execute-driven run does.  :class:`TestReplayDifferential`
+holds every extension miss path to that on the real benchmarks.
 """
 
 import pytest
@@ -15,8 +21,17 @@ from repro.schemes.ccrp import CcrpEngine, compress_ccrp
 from repro.schemes.dictword import DictWordEngine, compress_dictword
 from repro.schemes.software import SoftwareDecompEngine
 from repro.sim.codepack_engine import CodePackEngine
-from repro.sim.config import CodePackConfig, MemoryConfig
+from repro.sim.config import (
+    ARCH_1_ISSUE,
+    ARCH_4_ISSUE,
+    ARCH_8_ISSUE,
+    CodePackConfig,
+    MemoryConfig,
+)
 from repro.sim.fetch import NativeMissPath
+from repro.sim.machine import prepare, simulate
+from repro.sim.replay import record_trace
+from repro.workloads.suite import build_benchmark
 from tests.conftest import make_static_program
 
 PROGRAM = make_static_program(256)  # 16 blocks / 32 lines
@@ -102,3 +117,71 @@ def test_native_prefetch_contract_fuzz(lines, start):
         assert fill.critical_ready > now
         assert fill.fill_done >= fill.critical_ready
         now = fill.critical_ready  # misses only move forward in time
+
+
+# -- replay differential over the extension miss paths ----------------------
+
+REPLAY_BENCHES = ("cc1", "pegwit", "perl")
+REPLAY_ARCHS = {a.name: a for a in (ARCH_1_ISSUE, ARCH_4_ISSUE,
+                                    ARCH_8_ISSUE)}
+
+
+def _software(cost):
+    def kwargs(images, arch):
+        return {"mode": "software%d" % cost,
+                "miss_path": SoftwareDecompEngine(
+                    images["codepack"], arch.memory,
+                    cycles_per_instruction=cost,
+                    line_bytes=arch.icache.line_bytes)}
+    return kwargs
+
+
+#: ``simulate`` keyword arguments per extension miss path, built fresh
+#: for every run (the engines keep buffer state).
+MISS_PATHS = {
+    "ccrp": lambda images, arch: {
+        "mode": "ccrp",
+        "miss_path": CcrpEngine(images["ccrp"], arch.memory,
+                                line_bytes=arch.icache.line_bytes)},
+    "dictword": lambda images, arch: {
+        "mode": "dictword",
+        "miss_path": DictWordEngine(images["dictword"], arch.memory,
+                                    CodePackConfig(),
+                                    line_bytes=arch.icache.line_bytes)},
+    "software4": _software(4),
+    "software48": _software(48),
+    "native-nlp": lambda images, arch: {"native_prefetch": True},
+    "native-nocwf": lambda images, arch: {"critical_word_first": False},
+}
+
+
+@pytest.fixture(scope="module")
+def replay_suite():
+    """Program, predecode, trace and the three images per benchmark."""
+    out = {}
+    for bench in REPLAY_BENCHES:
+        program = build_benchmark(bench, 0.02)
+        static = prepare(program)
+        images = {"codepack": compress_program(program),
+                  "ccrp": compress_ccrp(program),
+                  "dictword": compress_dictword(program)}
+        out[bench] = (program, static, record_trace(program, static=static),
+                      images)
+    return out
+
+
+class TestReplayDifferential:
+    """Replay equals the execute-driven run, field for field, on every
+    extension miss path and machine."""
+
+    @pytest.mark.parametrize("arch", sorted(REPLAY_ARCHS))
+    @pytest.mark.parametrize("path", sorted(MISS_PATHS))
+    def test_replay_matches_execute(self, replay_suite, path, arch):
+        arch = REPLAY_ARCHS[arch]
+        for bench in REPLAY_BENCHES:
+            program, static, trace, images = replay_suite[bench]
+            ref = simulate(program, arch, static=static, replay=False,
+                           **MISS_PATHS[path](images, arch))
+            got = simulate(program, arch, static=static, replay=trace,
+                           **MISS_PATHS[path](images, arch))
+            assert got.to_dict() == ref.to_dict(), bench

@@ -62,7 +62,7 @@ def both(suite, bench, arch, codepack=None, **kwargs):
     program, static, image, trace = suite[bench]
     image = image if codepack else None
     ref = simulate(program, arch, codepack=codepack, image=image,
-                   static=static, **kwargs)
+                   static=static, replay=False, **kwargs)
     got = simulate(program, arch, codepack=codepack, image=image,
                    static=static, replay=trace, **kwargs)
     return ref, got
@@ -121,7 +121,7 @@ class TestDifferentialSuite:
                            "loop:\naddiu $t0, $t0, -1\n"
                            "bne $t0, $zero, loop\n"
                            "addiu $v0, $zero, 10\nsyscall")
-        ref = simulate(program, ARCHS[arch])
+        ref = simulate(program, ARCHS[arch], replay=False)
         got = simulate(program, ARCHS[arch], replay=True)
         assert ref.branch_lookups == 3
         assert result_state(ref) == result_state(got)
@@ -130,7 +130,7 @@ class TestDifferentialSuite:
         program, static, image, trace = suite["cc1"]
         ref_trace, got_trace = MissTrace(), MissTrace()
         simulate(program, ARCH_4_ISSUE, codepack=CP_BASELINE, image=image,
-                 static=static, trace=ref_trace)
+                 static=static, replay=False, trace=ref_trace)
         simulate(program, ARCH_4_ISSUE, codepack=CP_BASELINE, image=image,
                  static=static, replay=trace, trace=got_trace)
         assert ref_trace.count == got_trace.count
@@ -215,7 +215,7 @@ class TestFaultExactness:
         trace = record_trace(program, static=static)
         assert trace.fault is not None or fault == "unknown_syscall"
         messages = []
-        for replay in (None, trace):
+        for replay in (False, trace):
             with pytest.raises(SimulationError) as err:
                 simulate(program, ARCHS[arch], codepack=codepack,
                          image=image, static=static, replay=replay)
@@ -229,7 +229,7 @@ class TestFaultExactness:
         static = prepare(program)
         trace = record_trace(program, static=static)
         cap = trace.n  # everything recorded before the fault
-        ref = simulate(program, ARCH_1_ISSUE, static=static,
+        ref = simulate(program, ARCH_1_ISSUE, static=static, replay=False,
                        max_instructions=cap)
         got = simulate(program, ARCH_1_ISSUE, static=static, replay=trace,
                        max_instructions=cap)
@@ -262,7 +262,7 @@ class TestReplayContract:
     def test_undersized_trace_replays_within_cap(self, suite):
         program, static, _, _ = suite["pegwit"]
         short = record_trace(program, static=static, max_instructions=100)
-        ref = simulate(program, ARCH_4_ISSUE, static=static,
+        ref = simulate(program, ARCH_4_ISSUE, static=static, replay=False,
                        max_instructions=100)
         got = simulate(program, ARCH_4_ISSUE, static=static, replay=short,
                        max_instructions=100)

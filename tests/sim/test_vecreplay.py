@@ -1,17 +1,20 @@
 """Differential suite: vectorized group pricing vs the scalar engines.
 
 :mod:`repro.sim.vecreplay` promises that pricing a whole group of sweep
-cells through the NumPy column kernels returns exactly what
+cells through the NumPy column kernel returns exactly what
 :func:`repro.sim.machine.simulate` produces cell by cell -- same
 cycles, same cache/predictor statistics, same CodePack engine counters.
 These tests hold it to that across the paper's full Table 5-12 cell
 grid (all issue widths, native/CodePack/optimized modes, index-cache
 ablations) and the cwf/prefetch ablation knobs against scalar replay,
 hold truncation caps to the execute-driven model (scalar replay and
-the kernels share the trace-prefix code, so comparing the two would
+the kernel share the trace-prefix code, so comparing the two would
 prove less), and pin the vectorized profile builder against the
 scalar walk -- both on the real benchmark traces and on
-Hypothesis-generated random access streams and geometries.
+Hypothesis-generated random access streams and geometries.  The
+kernel is out-of-order only: every in-order cell must come back
+routed, never declined or dropped, and is then priced on the scalar
+stream kernel as the Workbench prices it, and held to the oracle.
 """
 
 import numpy as np
@@ -74,6 +77,42 @@ def price(suite, bench, bcells, **kwargs):
                                  trace=trace, image=image, **kwargs)
 
 
+def price_or_route(suite, bench, bcells, **kwargs):
+    """Every cell of *bcells*, priced as the Workbench prices it.
+
+    Out-of-order cells go on the kernel, forced at every width.  The
+    in-order cells must come back routed -- counted under
+    ``routes["inorder"]``, none declined, none dropped -- and are then
+    priced on the scalar stream kernel.
+    """
+    program, static, image, trace = suite[bench]
+    declines, routes = {}, {}
+    priced = price(suite, bench, bcells, declines=declines, routes=routes,
+                   **kwargs)
+    inorder = [pos for pos, (arch, _) in enumerate(bcells)
+               if arch.in_order]
+    assert declines == {}
+    assert sorted(set(range(len(bcells))) - set(priced)) == inorder
+    assert routes == ({"inorder": len(inorder)} if inorder else {})
+    knobs = {key: kwargs[key] for key in ("max_instructions",
+                                          "critical_word_first",
+                                          "native_prefetch")
+             if key in kwargs}
+    for pos in inorder:
+        arch, codepack = bcells[pos]
+        priced[pos] = simulate(program, arch, codepack=codepack,
+                               image=image if codepack else None,
+                               static=static, replay=trace, **knobs)
+    return priced
+
+
+def reference_replay(arch, trace):
+    """``replay=`` for a cell's reference run: scalar replay of *trace*
+    for a kernel-priced cell, the oracle for a routed in-order one,
+    whose price already is scalar replay."""
+    return False if arch.in_order else trace
+
+
 class TestGridExactness:
     """Every sweep cell, priced vectorized, equals its scalar run."""
 
@@ -82,20 +121,21 @@ class TestGridExactness:
                                              bench):
         program, static, image, trace = suite[bench]
         bcells = grid_cells[bench]
-        priced = price(suite, bench, bcells)
-        # Forced at every width, the kernels serve every shape in the
-        # paper's grid -- 1/4/8-issue, native and every CodePack/
-        # index-cache variant.
+        priced = price_or_route(suite, bench, bcells)
+        # Forced at every width, the kernel serves every out-of-order
+        # shape in the paper's grid -- 4/8-issue, native and every
+        # CodePack/index-cache variant -- and routes the 1-issue cells.
         assert sorted(priced) == list(range(len(bcells)))
         for pos, (arch, codepack) in enumerate(bcells):
             ref = simulate(program, arch, codepack=codepack,
                            image=image if codepack else None,
-                           static=static, replay=trace)
+                           static=static,
+                           replay=reference_replay(arch, trace))
             assert priced[pos].to_dict() == ref.to_dict(), (
                 bench, arch.name, codepack)
 
     def test_all_issue_widths_grouped(self, suite, grid_cells):
-        # The grid exercises all three kernels: 1-issue in-order,
+        # The grid exercises all three machines: 1-issue in-order,
         # 4-issue and 8-issue out-of-order.
         widths = {(a.in_order, a.issue_width) for a, _ in
                   grid_cells["cc1"]}
@@ -137,18 +177,20 @@ class TestAblationKnobs:
     @pytest.mark.parametrize("cap", (1, 37, 997))
     def test_truncation_cap_priced_exactly(self, suite, cap):
         # A cap below the trace length truncates the stream: the
-        # kernels price the trace's prefix and report the truncated
-        # SimResult (instructions, stats, output, flags) exactly as the
+        # kernel and the stream kernel (routed in-order cells) price the
+        # trace's prefix and report the truncated SimResult
+        # (instructions, stats, output, flags) exactly as the
         # execute-driven model does.
         program, static, image, trace = suite["cc1"]
         assert cap < trace.n
-        priced = price(suite, "cc1", self.TRUNC_CELLS,
-                       max_instructions=cap)
+        priced = price_or_route(suite, "cc1", self.TRUNC_CELLS,
+                                max_instructions=cap)
         assert sorted(priced) == list(range(len(self.TRUNC_CELLS)))
         for pos, (arch, codepack) in enumerate(self.TRUNC_CELLS):
             ref = simulate(program, arch, codepack=codepack,
                            image=image if codepack else None,
-                           static=static, max_instructions=cap)
+                           static=static, max_instructions=cap,
+                           replay=False)
             got = priced[pos].to_dict()
             assert got["instructions"] == cap
             assert got == ref.to_dict(), (arch.name, codepack, cap)
@@ -173,12 +215,13 @@ class TestSharedBus:
         shared = ARCHS[arch].with_shared_bus()
         cells = [(shared, None), (shared, CP_BASELINE),
                  (shared, CP_OPTIMIZED)]
-        priced = price(suite, "pegwit", cells)
+        priced = price_or_route(suite, "pegwit", cells)
         assert sorted(priced) == [0, 1, 2]
         for pos, (a, codepack) in enumerate(cells):
             ref = simulate(program, a, codepack=codepack,
                            image=image if codepack else None,
-                           static=static, replay=trace)
+                           static=static,
+                           replay=reference_replay(a, trace))
             assert priced[pos].to_dict() == ref.to_dict(), \
                 (arch, codepack)
 
@@ -206,7 +249,8 @@ class TestSharedBus:
         for pos, (a, codepack) in enumerate(cells):
             ref = simulate(program, a, codepack=codepack,
                            image=image if codepack else None,
-                           static=static, max_instructions=997)
+                           static=static, max_instructions=997,
+                           replay=False)
             assert priced[pos].to_dict() == ref.to_dict()
 
 
@@ -248,16 +292,22 @@ class TestCrossTraceGrid:
 
     def test_full_grid_zero_declines(self, suite, grid_cells):
         # The whole sweep grid -- every experiment's cells for both
-        # benchmarks -- prices on the kernels in one invocation with an
-        # empty decline histogram when forced at every width.
+        # benchmarks -- goes through one invocation with an empty
+        # decline histogram when forced at every width: every
+        # out-of-order cell prices on the kernel, every in-order cell
+        # routes.
         grid = [(bench, arch, cp) for bench, bcells in grid_cells.items()
                 for arch, cp in bcells]
-        declines = {}
+        declines, routes = {}, {}
         priced = vecreplay.price_grid(
             self._benches(suite), grid, max_instructions=5_000_000,
-            min_lanes=1, declines=declines)
+            min_lanes=1, declines=declines, routes=routes)
+        inorder = [pos for pos, (_, arch, _) in enumerate(grid)
+                   if arch.in_order]
         assert declines == {}
-        assert sorted(priced) == list(range(len(grid)))
+        assert inorder and routes == {"inorder": len(inorder)}
+        assert sorted(priced) == [pos for pos in range(len(grid))
+                                  if pos not in inorder]
 
     def test_full_grid_default_lanes_zero_declines(self, suite,
                                                    grid_cells):
@@ -292,7 +342,9 @@ class TestCrossTraceGrid:
 
     def test_routed_pass_prices_like_the_kernel(self, suite):
         # Routed cells are priced by simulate() on the stream kernels;
-        # field for field, that is what the forced kernel returns.
+        # field for field, that is what the forced kernel returns for
+        # the out-of-order cell, and what the oracle returns for the
+        # in-order ones, which route even when forced.
         program, static, image, trace = suite["pegwit"]
         cells = [(ARCH_1_ISSUE, None), (ARCH_1_ISSUE, CP_OPTIMIZED),
                  (ARCH_8_ISSUE, CP_BASELINE)]
@@ -300,12 +352,13 @@ class TestCrossTraceGrid:
         assert price(suite, "pegwit", cells, min_lanes=None,
                      routes=routes) == {}
         assert routes == {"inorder": 2, "ooo": 1}
-        forced = price(suite, "pegwit", cells)
+        forced = price_or_route(suite, "pegwit", cells)
         for pos, (arch, codepack) in enumerate(cells):
-            routed = simulate(program, arch, codepack=codepack,
-                              image=image if codepack else None,
-                              static=static, replay=trace)
-            assert routed.to_dict() == forced[pos].to_dict()
+            ref = simulate(program, arch, codepack=codepack,
+                           image=image if codepack else None,
+                           static=static,
+                           replay=reference_replay(arch, trace))
+            assert forced[pos].to_dict() == ref.to_dict()
 
 
 class TestWorkbenchIntegration:
@@ -430,12 +483,12 @@ class TestHypothesisReplay:
             arch = arch.with_shared_bus()
         codepack = {"native": None, "base": CP_BASELINE,
                     "opt": CP_OPTIMIZED}[mode]
-        priced = price(suite, "pegwit", [(arch, codepack)],
-                       max_instructions=cap)
+        priced = price_or_route(suite, "pegwit", [(arch, codepack)],
+                                max_instructions=cap)
         assert sorted(priced) == [0]
         ref = simulate(program, arch, codepack=codepack,
                        image=image if codepack else None, static=static,
-                       max_instructions=cap)
+                       max_instructions=cap, replay=False)
         assert priced[0].to_dict() == ref.to_dict()
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line tools (invoked in-process, except where
 the test is about what the process prints when it fails)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from repro.tools import asm, codepack, disasm, run
-from repro.tools.container import load_program
+from repro.tools.container import load_image, load_program, save_image
 
 SOURCE = """
 .text 0x400000
@@ -223,12 +224,29 @@ class TestDamagedInputs:
         (tmp_path / "trunc.cpk").write_bytes(image_file.read_bytes()[:40])
         (tmp_path / "random.bin").write_bytes(
             bytes((i * 37 + 11) % 256 for i in range(200)))
+        # Intact containers around damaged 35-byte code streams.
+        image = load_image(image_file)
+        assert len(image.code_bytes) == 35
+        for name, code in (("empty", b""), ("slot", b"\x01" * 35),
+                           ("tag", b"\xc0" * 35)):
+            save_image(tmp_path / ("stream-%s.cpk" % name),
+                       dataclasses.replace(image, code_bytes=code))
         return tmp_path
 
     @pytest.mark.parametrize("argv, culprit, reason", [
         pytest.param(["codepack", "verify", "demo.ss32", "trunc.cpk"],
                      "trunc.cpk", "truncated container",
                      id="codepack-verify"),
+        pytest.param(["codepack", "verify", "demo.ss32", "stream-empty.cpk"],
+                     "stream-empty.cpk", "bitstream exhausted",
+                     id="codepack-verify-exhausted-stream"),
+        pytest.param(["codepack", "verify", "demo.ss32", "stream-slot.cpk"],
+                     "stream-slot.cpk",
+                     "dictionary slot 4 beyond high dictionary (3 entries)",
+                     id="codepack-verify-bad-dictionary-slot"),
+        pytest.param(["codepack", "verify", "demo.ss32", "stream-tag.cpk"],
+                     "stream-tag.cpk", "'unknown tag 0b110/3 in high stream'",
+                     id="codepack-verify-unknown-tag"),
         pytest.param(["codepack", "inspect", "random.bin"], "random.bin",
                      "bad magic (not a 'CPKIMG' container)",
                      id="codepack-inspect-garbage"),

@@ -1,6 +1,7 @@
 """Tests for the on-disk containers."""
 
 import json
+import struct
 
 import pytest
 
@@ -139,4 +140,18 @@ class TestImageContainer:
         path = tmp_path / "prog.cpk"
         path.write_bytes(dump_image(image)[:-1] + b"\xff")
         with pytest.raises(ContainerError, match="malformed UTF-8 text"):
+            load_image(path)
+
+    def test_duplicate_dictionary_entry_rejected(self, tmp_path):
+        # A flipped bit that turns one dictionary entry into a copy of
+        # another is a damaged container, not a raw ValueError.
+        image = compress_program(make_memory_program())
+        entries = image.high_dict.entries
+        assert len(entries) >= 2
+        data = bytearray(dump_image(image))
+        at = data.index(struct.pack("<%dH" % len(entries), *entries))
+        data[at + 2:at + 4] = data[at:at + 2]
+        path = tmp_path / "prog.cpk"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match="malformed dictionary"):
             load_image(path)
