@@ -27,6 +27,7 @@ import pytest
 
 from repro.eval.experiments import ALL_EXPERIMENTS, sweep_cells
 from repro.eval.runner import Workbench
+from repro.sim import cpu
 from repro.tools.benchinfo import write_report
 
 REPORT_PATH = os.environ.get("BENCH_REPLAY_JSON", "BENCH_replay.json")
@@ -48,6 +49,11 @@ def test_cold_sweep_replay_speedup():
     timings = {}
     benches = {}
     for label, replay in (("execute", False), ("replay", True)):
+        # Each arm starts from empty process-wide decode and closure
+        # caches, as a fresh process would: neither arm prices with
+        # what the other one decoded or compiled.
+        cpu._DECODE_CACHE.clear()
+        cpu._EXEC_CACHE.clear()
         wb = Workbench(scale=SWEEP_SCALE, jobs=1, replay=replay)
         begin = time.perf_counter()
         wb.prefetch(cells)

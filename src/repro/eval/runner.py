@@ -109,14 +109,17 @@ class Workbench:
     def image(self, bench):
         """The benchmark's CodePack image (compressed once)."""
         if bench not in self._images:
+            program = self.program(bench)
             with timed_phase(self.stats, "compress"):
-                self._images[bench] = compress_program(self.program(bench))
+                self._images[bench] = compress_program(program)
         return self._images[bench]
 
     def static(self, bench):
         """The benchmark's predecoded text (decoded once)."""
         if bench not in self._static:
-            self._static[bench] = prepare(self.program(bench))
+            program = self.program(bench)
+            with timed_phase(self.stats, "predecode"):
+                self._static[bench] = prepare(program)
         return self._static[bench]
 
     def trace(self, bench):
@@ -125,10 +128,14 @@ class Workbench:
         # are part of _memo_key: both change the recorded stream.
         key = (bench, self.scale, self.max_instructions)
         if key not in self._traces:
+            # Built before the phase opens: build and predecode time
+            # land in phases of their own.
+            program = self.program(bench)
+            static = self.static(bench)
             with timed_phase(self.stats, "trace"):
                 if self.trace_cache is not None:
                     self._traces[key] = self.trace_cache.get_or_record(
-                        self.program(bench), static=self.static(bench),
+                        program, static=static,
                         max_instructions=self.max_instructions)
                     self.stats.trace_pruned_files = \
                         self.trace_cache.pruned_files
@@ -136,7 +143,7 @@ class Workbench:
                         self.trace_cache.pruned_bytes
                 else:
                     self._traces[key] = record_trace(
-                        self.program(bench), static=self.static(bench),
+                        program, static=static,
                         max_instructions=self.max_instructions)
         return self._traces[key]
 

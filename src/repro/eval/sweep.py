@@ -48,6 +48,7 @@ from repro.codepack.compressor import compress_program
 from repro.sim import SIM_VERSION
 from repro.sim.codepack_engine import EngineStats
 from repro.sim.machine import prepare, simulate
+from repro.sim.replay import get_replay_table
 from repro.sim.results import SimResult
 from repro.workloads import WORKLOAD_VERSION
 from repro.workloads.suite import build_benchmark
@@ -655,6 +656,11 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
             batches = pricing_passes(cells, {
                 bench: art[2].n for bench, art in _WORKER_MEMO.items()
                 if art[2] is not None})
+            # Build each replay table once here: forked workers inherit
+            # it instead of each building their own.
+            for _program, static, _trace, _image in _WORKER_MEMO.values():
+                if static is not None:
+                    get_replay_table(static)
         else:
             batches = partition_cells(cells, jobs)
         if stats is not None:

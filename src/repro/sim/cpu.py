@@ -8,14 +8,28 @@ CPU (paper Section 2.3: "The CPU is unaware of compression"), the same
 core underlies native and CodePack simulations; integration tests
 verify the architectural results are identical.
 
-The whole ``.text`` section is predecoded once into flat tuples, and
-``step()`` dispatches on a dense integer opcode, which keeps the
-interpreter around a microsecond per instruction -- the difference
-between minutes and hours over the full experiment suite.
+Predecoding classifies the whole ``.text`` section in one NumPy pass
+(:func:`classify_text`: execution class, latency, operand slots and
+block ends per word) and builds each :class:`StaticInstr` the first
+time something reads it, so a program pays for the objects and closures
+of only the code a run reaches.  ``step()`` dispatches on a dense
+integer opcode, which keeps the interpreter around a microsecond per
+instruction -- the difference between minutes and hours over the full
+experiment suite.
 """
 
+from collections.abc import Sequence
+
+import numpy as np
+
 from repro.isa.encoding import sign_extend_16
-from repro.isa.opcodes import InstrClass, spec_for_word
+from repro.isa.opcodes import (
+    INSTRUCTIONS,
+    OP_REGIMM,
+    OP_SPECIAL,
+    InstrClass,
+    spec_for_word,
+)
 from repro.isa.program import DEFAULT_STACK_TOP
 
 # Dense execution opcodes (roughly frequency-ordered for dispatch speed).
@@ -76,6 +90,36 @@ _KIND_BY_CLASS = {
     InstrClass.CALL_REG: KIND_UNCOND,
     InstrClass.SYSCALL: KIND_SYSCALL,
 }
+
+# Execution classes: how trace recording runs an instruction's compiled
+# closure (see the compiled-closure section below) and what the replay
+# engines charge for it.
+EX_PLAIN = 0
+EX_MULT = 1
+EX_LOAD = 2
+EX_STORE = 3
+EX_BRANCH = 4
+EX_JUMP = 5
+EX_SYSCALL = 6
+
+#: Execution classes that end a basic block (control may leave the
+#: straight line, or -- for syscalls -- the core may halt).
+EX_TERMINATORS = (EX_BRANCH, EX_JUMP, EX_SYSCALL)
+
+_EX_BY_KIND = {KIND_LOAD: EX_LOAD, KIND_STORE: EX_STORE,
+               KIND_COND_BRANCH: EX_BRANCH, KIND_UNCOND: EX_JUMP,
+               KIND_SYSCALL: EX_SYSCALL}
+
+#: Operand slots beyond the 34 architectural scoreboard entries: reads
+#: of NO_SRC always see 0 (the slot is never written), writes to NO_DST
+#: go to a scratch entry no instruction reads.  Padding every
+#: instruction to exactly two sources and two destinations lets the
+#: replay kernels index the scoreboard unconditionally instead of
+#: looping over variable-length operand tuples (the SS32 ISA never has
+#: more than two of either).
+NO_SRC = 34
+NO_DST = 35
+N_SLOTS = 36
 
 SYSCALL_PRINT_INT = 1
 SYSCALL_EXIT = 10
@@ -172,23 +216,180 @@ class StaticInstr:
             self.taken_target = 0
 
 
-class StaticText(list):
-    """A predecoded ``.text`` section.
+# ---------------------------------------------------------------------------
+# Whole-text classification: one table gather per word
+# ---------------------------------------------------------------------------
+#
+# ``spec_for_word`` keys on the funct field for SPECIAL words, on the rt
+# field for REGIMM words and on the opcode otherwise.  Folding the three
+# into one key (opcode, 64 + funct, 128 + rt) makes every per-spec fact
+# a 160-entry table and classifying a whole text section a handful of
+# NumPy gathers.
 
-    Behaves exactly like the plain list of :class:`StaticInstr` it used
-    to be; the extra slots let trace recording and the trace-replay
-    engines (:mod:`repro.sim.replay`) cache their per-program execution
-    tables on the predecoded program, so sweeps that share one
-    ``static`` across hundreds of runs compile them only once.
+_N_KEYS = 160
+
+#: Register-field codes of the operand tables: none, the three encoded
+#: fields, then the fixed HI, LO and $ra registers.
+_FIELD_CODE = {"rs": 1, "rt": 2, "rd": 3, "hi": 4, "lo": 5, "ra": 6}
+
+
+def _spec_key(spec):
+    if spec.op == OP_SPECIAL:
+        return 64 + spec.funct
+    if spec.op == OP_REGIMM:
+        return 128 + spec.regimm_rt
+    return spec.op
+
+
+def _key_tables():
+    valid = np.zeros(_N_KEYS, dtype=bool)
+    ex = np.zeros(_N_KEYS, dtype=np.uint8)
+    latency = np.zeros(_N_KEYS, dtype=np.uint8)
+    fields = np.zeros((4, _N_KEYS), dtype=np.uint8)  # read 0/1, write 0/1
+    for spec in INSTRUCTIONS.values():
+        key = _spec_key(spec)
+        valid[key] = True
+        kind = _KIND_BY_CLASS[spec.iclass]
+        if kind == KIND_PLAIN:
+            ex[key] = EX_MULT if _FU_BY_NAME[spec.fu] == FU_MULT \
+                else EX_PLAIN
+        else:
+            ex[key] = _EX_BY_KIND[kind]
+        latency[key] = spec.latency
+        for row, names in ((0, spec.reads), (2, spec.writes)):
+            for slot, name in enumerate(names):
+                fields[row + slot, key] = _FIELD_CODE[name]
+    return valid, ex, latency, fields
+
+
+_KEY_VALID, _KEY_EX, _KEY_LATENCY, _KEY_FIELDS = _key_tables()
+
+
+class TextColumns:
+    """Per-word classification of a ``.text`` section, as NumPy columns.
+
+    ``ex`` (the EX_* class), ``latency`` and the operand slots ``s0``,
+    ``s1``, ``d0``, ``d1`` (nonzero registers in encoding order, padded
+    with ``NO_SRC``/``NO_DST``) are ``uint8`` per word: the rows of
+    :class:`repro.sim.replay.ReplayTable`.  ``next_term[i]`` is the
+    index of the first block terminator (``EX_TERMINATORS``) at or
+    after *i*, or the last index when none follows.
     """
 
-    __slots__ = ("block_table", "replay_table")
+    __slots__ = ("ex", "latency", "s0", "s1", "d0", "d1", "next_term")
+
+    def __init__(self, ex, latency, s0, s1, d0, d1, next_term):
+        self.ex = ex
+        self.latency = latency
+        self.s0 = s0
+        self.s1 = s1
+        self.d0 = d0
+        self.d1 = d1
+        self.next_term = next_term
+
+
+def _slots(first, second, pad):
+    """Nonzero registers of a two-field operand list, padded with *pad*."""
+    lead = np.where(first != 0, first, second)
+    follow = np.where(first != 0, second, 0)
+    return (np.where(lead != 0, lead, pad).astype(np.uint8),
+            np.where(follow != 0, follow, pad).astype(np.uint8))
+
+
+def classify_text(words, text_base):
+    """Classify every word of a ``.text`` section at once.
+
+    Returns the :class:`TextColumns` of *words* (32-bit instruction
+    words from address *text_base*); raises :class:`SimulationError`
+    for the first word that does not decode, as building its
+    :class:`StaticInstr` would.
+    """
+    w = np.array(words, dtype=np.int64)
+    op = w >> 26
+    key = np.where(op == OP_SPECIAL, 64 + (w & 0x3F),
+                   np.where(op == OP_REGIMM, 128 + ((w >> 16) & 0x1F), op))
+    bad = ~_KEY_VALID[key]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SimulationError("undecodable instruction %#010x at %#x"
+                              % (int(w[i]), text_base + 4 * i))
+    regs = (0, (w >> 21) & 0x1F, (w >> 16) & 0x1F, (w >> 11) & 0x1F,
+            REG_HI, REG_LO, 31)
+    r0, r1, w0, w1 = (np.choose(_KEY_FIELDS[row][key], regs)
+                      for row in range(4))
+    s0, s1 = _slots(r0, r1, NO_SRC)
+    d0, d1 = _slots(w0, w1, NO_DST)
+    ex = _KEY_EX[key]
+    n = len(w)
+    ends = np.flatnonzero(np.isin(ex, EX_TERMINATORS))
+    next_term = np.append(ends, n - 1)[
+        np.searchsorted(ends, np.arange(n))]
+    return TextColumns(ex, _KEY_LATENCY[key], s0, s1, d0, d1, next_term)
+
+
+class StaticText(Sequence):
+    """A predecoded ``.text`` section.
+
+    Classified whole at construction (:func:`classify_text`, which
+    raises for the first undecodable word); the :class:`StaticInstr` for
+    index *i* is built the first time something reads ``static[i]``.
+    ``decoded[i]`` is that instruction or ``None`` until then, which is
+    what lets ``FunctionalCore.step`` skip a call per instruction.
+    Indexing, iteration and ``len`` behave like the plain list of
+    :class:`StaticInstr` it stands for.
+
+    ``columns`` holds the classification; the ``block_table`` and
+    ``replay_table`` slots let trace recording and the trace-replay
+    engines (:mod:`repro.sim.replay`) cache their per-program tables on
+    the predecoded program, so sweeps that share one ``static`` across
+    hundreds of runs build them only once.
+    """
+
+    __slots__ = ("text_base", "words", "columns", "decoded", "block_table",
+                 "replay_table")
+
+    def __init__(self, words, text_base):
+        self.words = tuple(words)
+        self.text_base = text_base
+        self.columns = classify_text(self.words, text_base)
+        self.decoded = [None] * len(self.words)
+        self.block_table = None
+        self.replay_table = None
+
+    def __len__(self):
+        return len(self.decoded)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        st = self.decoded[index]
+        if st is None:
+            # A plain non-negative int, whatever index type was passed.
+            index = range(len(self.decoded))[index]
+            st = self.decoded[index] = StaticInstr(
+                self.text_base + 4 * index, self.words[index])
+        return st
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.decoded)))
 
 
 def predecode(program):
-    """Predecode every ``.text`` word of *program*."""
-    return StaticText(StaticInstr(addr, word)
-                      for addr, word in program.iter_addresses())
+    """Predecode the ``.text`` section of *program* (see StaticText)."""
+    return StaticText(program.text, program.text_base)
+
+
+def text_columns(static):
+    """The :class:`TextColumns` of a predecoded program.
+
+    A :class:`StaticText` carries them; a plain list of
+    :class:`StaticInstr` is classified from its words by the same code.
+    """
+    columns = getattr(static, "columns", None)
+    if columns is None:
+        columns = classify_text([st.word for st in static],
+                                static[0].addr if len(static) else 0)
+    return columns
 
 
 def _sdiv(a, b):
@@ -210,6 +411,9 @@ class FunctionalCore:
     def __init__(self, program, static=None, pc_index=None, entry=None):
         self.program = program
         self.static = static if static is not None else predecode(program)
+        # A StaticText's decoded-or-None list: step() indexes it and asks
+        # the StaticText to build an instruction only on a None.
+        self._decoded = getattr(self.static, "decoded", self.static)
         self.regs = [0] * 34  # 32 GPRs + HI + LO
         self.regs[29] = DEFAULT_STACK_TOP  # $sp
         self.pc = entry if entry is not None else program.entry
@@ -296,7 +500,9 @@ class FunctionalCore:
             index = self._pc_index.get(self.pc, -1)
             if index < 0:
                 raise SimulationError("pc %#x outside .text" % self.pc)
-        st = self.static[index]
+        st = self._decoded[index]
+        if st is None:
+            st = self.static[index]
         regs = self.regs
         xop = st.xop
         next_pc = st.fall_through
@@ -523,37 +729,8 @@ class FunctionalCore:
 # * EX_JUMP              -- ``fn(regs) -> next_pc`` (link register written).
 # * EX_SYSCALL           -- ``fn(core)``; may halt the core.
 
-EX_PLAIN = 0
-EX_MULT = 1
-EX_LOAD = 2
-EX_STORE = 3
-EX_BRANCH = 4
-EX_JUMP = 5
-EX_SYSCALL = 6
-
-#: Execution classes that end a basic block (control may leave the
-#: straight line, or -- for syscalls -- the core may halt).
-EX_TERMINATORS = (EX_BRANCH, EX_JUMP, EX_SYSCALL)
-
-
 def _ex_nop(regs):
     return None
-
-
-def exec_class(st):
-    """The EX_* class of one static instruction."""
-    kind = st.kind
-    if kind == KIND_LOAD:
-        return EX_LOAD
-    if kind == KIND_STORE:
-        return EX_STORE
-    if kind == KIND_COND_BRANCH:
-        return EX_BRANCH
-    if kind == KIND_UNCOND:
-        return EX_JUMP
-    if kind == KIND_SYSCALL:
-        return EX_SYSCALL
-    return EX_MULT if st.fu == FU_MULT else EX_PLAIN
 
 
 #: word -> compiled closure, for the word-determined execution classes.

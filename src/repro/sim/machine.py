@@ -52,6 +52,19 @@ def describe_mode(codepack):
     return "+".join(parts)
 
 
+def replays_by_default(arch, pc_index=None):
+    """Whether :func:`simulate` with ``replay=None`` records and replays.
+
+    Yes for an in-order machine on the fixed-width SS32 layout, where
+    recording plus the stream kernel beats the execute-driven model
+    even when the trace is used once.  No for an out-of-order machine:
+    there record + replay won most but not all single runs measured
+    (DESIGN.md §7d).  A variable-length layout (*pc_index*) has no
+    trace format, so it always executes.
+    """
+    return arch.in_order and pc_index is None
+
+
 def simulate(program, arch, codepack=None, image=None, static=None,
              max_instructions=DEFAULT_MAX_INSTRUCTIONS, mode=None,
              critical_word_first=True, miss_path=None, pc_index=None,
@@ -77,13 +90,10 @@ def simulate(program, arch, codepack=None, image=None, static=None,
       (:func:`~repro.sim.inorder.run_inorder` /
       :func:`~repro.sim.ooo.run_ooo`), the oracle every fast path is
       tested against.  ``None`` (the default) picks the faster of the
-      two for one run: replay for an in-order machine on the
-      fixed-width SS32 layout (``pc_index`` is ``None``), where
-      recording plus the stream kernel beats the oracle even when the
-      trace is used once; execute-driven otherwise, because recording
-      compiles a closure per static instruction, which one
-      out-of-order run does not win back.  Replay is cycle-exact
-      against the execute-driven models.
+      two for one run (:func:`replays_by_default`): replay for an
+      in-order machine on the fixed-width SS32 layout, execute-driven
+      otherwise.  Replay is cycle-exact against the execute-driven
+      models.
     * ``trace_cache`` -- a :class:`~repro.sim.replay.TraceCache`;
       consulted (and populated) when replay records a trace.
 
@@ -111,7 +121,7 @@ def simulate(program, arch, codepack=None, image=None, static=None,
     fetch_unit = FetchUnit(icache, miss_path, trace=trace)
 
     if replay is None:
-        replay = arch.in_order and pc_index is None
+        replay = replays_by_default(arch, pc_index)
     if replay:
         if pc_index is not None:
             raise ValueError("replay requires the fixed-width SS32 layout "

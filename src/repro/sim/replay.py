@@ -13,8 +13,9 @@ This module exploits that by splitting the simulator's two halves:
   *fetch-run spans* (start static index + length), taken/not-taken
   outcomes for conditional branches, byte addresses for loads/stores,
   and syscall output events.  Recording executes block-at-a-time over
-  the compiled closures of a :class:`BlockTable`, so the one
-  functional pass is itself fast.
+  the compiled closures of a :class:`BlockTable`, compiling each block
+  the first time the run enters it, so the one functional pass is
+  itself fast and pays only for the code it reaches.
 * :func:`replay_trace` re-runs the **timing only**: each dynamic
   instruction is processed in O(1) over preallocated arrays
   (register-ready scoreboard, heap-ordered function units,
@@ -59,6 +60,8 @@ from array import array
 from bisect import bisect_left
 from heapq import heapreplace
 
+import numpy as np
+
 from repro.sim.cpu import (
     EX_BRANCH,
     EX_JUMP,
@@ -66,12 +69,12 @@ from repro.sim.cpu import (
     EX_MULT,
     EX_STORE,
     EX_SYSCALL,
-    EX_TERMINATORS,
+    N_SLOTS,
     FunctionalCore,
     SimulationError,
     compile_exec,
-    exec_class,
     predecode,
+    text_columns,
 )
 from repro.sim.inorder import DECODE_LATENCY
 from repro.sim.ooo import FRONT_END_LATENCY
@@ -183,31 +186,43 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 class BlockTable:
-    """Per-program compiled execution table.
+    """Per-program compiled execution table, filled block by block.
 
-    ``ops[i]`` is ``(ex, fn, taken_target)`` for static instruction *i*
-    (``ex`` an EX_* class, ``fn`` its compiled closure from
+    ``next_term[i]`` is the index of the first block terminator
+    (branch, jump or syscall) at or after *i*, from the classification
+    (:func:`repro.sim.cpu.text_columns`), so the dynamic block starting
+    at *i* spans ``i .. next_term[i]`` inclusive.  Jumps into the middle
+    of a static block simply start a shorter dynamic block.
+
+    ``ops[i]`` is ``None`` until :meth:`compile` compiles a block that
+    holds *i*; then it is ``(ex, fn, taken_target)`` (``ex`` the EX_*
+    class, ``fn`` the compiled closure from
     :func:`repro.sim.cpu.compile_exec`, with operand fields and
-    $zero-write guards baked in); ``next_term[i]`` is the index of the
-    first block terminator (branch, jump or syscall) at or after *i*,
-    so the dynamic block starting at *i* spans ``i .. next_term[i]``
-    inclusive.  Jumps into the middle of a static block simply start a
-    shorter dynamic block.
+    $zero-write guards baked in).  A compiled entry's block is compiled
+    through its terminator, so ``ops[i] is not None`` means the whole
+    dynamic block from *i* is ready.  The table holds no reference to
+    the program it is cached on, so caching it makes no reference
+    cycle.
     """
 
-    __slots__ = ("ops", "next_term")
+    __slots__ = ("ex", "ops", "next_term")
 
     def __init__(self, static):
-        self.ops = [(exec_class(st), compile_exec(st), st.taken_target)
-                    for st in static]
-        n = len(static)
-        next_term = [n - 1] * n
-        term = n - 1
-        for i in range(n - 1, -1, -1):
-            if self.ops[i][0] in EX_TERMINATORS:
-                term = i
-            next_term[i] = term
-        self.next_term = next_term
+        columns = text_columns(static)
+        self.ex = columns.ex
+        self.ops = [None] * len(static)
+        self.next_term = columns.next_term.tolist()
+
+    def compile(self, static, index):
+        """Compile the dynamic block from *index* of *static* (the
+        predecoded program this table was built for) to its
+        terminator."""
+        ops = self.ops
+        for j in range(index, self.next_term[index] + 1):
+            if ops[j] is not None:
+                break  # the rest of the block is compiled already
+            st = static[j]
+            ops[j] = (int(self.ex[j]), compile_exec(st), st.taken_target)
 
 
 def get_block_table(static):
@@ -229,9 +244,12 @@ def record_trace(program, static=None, max_instructions=5_000_000):
     :class:`BlockTable` (no timing), so the pc-to-index mapping and the
     bounds, budget and halt checks happen once per block visit, and
     records spans, branch outcomes, memory addresses and output
-    events.  An architectural fault ends the trace and is stored in
-    ``fault`` rather than raised -- replaying past the recorded stream
-    re-raises it, mirroring the execute-driven models.
+    events.  A block's closures, and the :class:`StaticInstr` objects
+    they come from, are built the first time the run enters it, so
+    code the run never reaches is never compiled.  An architectural
+    fault ends the trace and is stored in ``fault`` rather than raised
+    -- replaying past the recorded stream re-raises it, mirroring the
+    execute-driven models.
     """
     if static is None:
         static = predecode(program)
@@ -268,6 +286,8 @@ def record_trace(program, static=None, max_instructions=5_000_000):
             index = (pc - text_base) >> 2
             if not 0 <= index < text_len:
                 raise SimulationError("pc %#x outside .text" % pc)
+            if ops[index] is None:
+                table.compile(static, index)
             term = next_term[index]
             last = instret + (term - index)
             if last >= max_instructions:
@@ -655,18 +675,6 @@ class TraceCache:
 # The compiled replay table
 # ---------------------------------------------------------------------------
 
-#: Operand slots beyond the 34 architectural scoreboard entries: reads
-#: of NO_SRC always see 0 (the slot is never written), writes to NO_DST
-#: go to a scratch entry no instruction reads.  Padding every
-#: instruction to exactly two sources and two destinations lets the
-#: replay kernels index the scoreboard unconditionally instead of
-#: looping over variable-length operand tuples (the SS32 ISA never has
-#: more than two of either).
-NO_SRC = 34
-NO_DST = 35
-N_SLOTS = 36
-
-
 class ReplayTable:
     """Per-program timing-only view of the static instructions.
 
@@ -674,27 +682,33 @@ class ReplayTable:
     timing models read from a :class:`~repro.sim.cpu.StaticInstr`
     except its address (recomputed incrementally from the span) and its
     functional effect (already recorded).  Operands are padded to fixed
-    slots with ``NO_SRC``/``NO_DST``.  Unlike :class:`BlockTable` no
-    closures are compiled, so replaying a disk-cached trace never pays
-    for compilation.
+    slots with ``NO_SRC``/``NO_DST``.  ``ex`` holds the execution
+    classes alone, as a flat byte string the profile builders walk
+    without touching the tuples.
+
+    Built from the classification columns
+    (:func:`repro.sim.cpu.text_columns`) with no per-instruction
+    decode and no closures, so replaying a disk-cached trace never pays
+    for compilation.  Rows repeat heavily (a few thousand distinct rows
+    in a text of tens of thousands of words), so equal rows share one
+    tuple.
     """
 
     __slots__ = ("ops", "ex")
 
     def __init__(self, static):
-        ops = []
-        for st in static:
-            s = st.srcs
-            d = st.dsts
-            ops.append((exec_class(st), st.latency,
-                        s[0] if len(s) > 0 else NO_SRC,
-                        s[1] if len(s) > 1 else NO_SRC,
-                        d[0] if len(d) > 0 else NO_DST,
-                        d[1] if len(d) > 1 else NO_DST))
-        self.ops = ops
-        # Execution classes alone, as a flat byte string: the profile
-        # builder walks these without touching the operand tuples.
-        self.ex = bytes(op[0] for op in ops)
+        c = text_columns(static)
+        # One int per row (fields of 3, 5 and 6 bits), so np.unique
+        # finds the distinct rows in a single sort.
+        packed = (c.ex.astype(np.int64) | c.latency.astype(np.int64) << 3
+                  | c.s0.astype(np.int64) << 8 | c.s1.astype(np.int64) << 14
+                  | c.d0.astype(np.int64) << 20
+                  | c.d1.astype(np.int64) << 26)
+        rows, which = np.unique(packed, return_inverse=True)
+        shared = [(row & 7, row >> 3 & 31, row >> 8 & 63, row >> 14 & 63,
+                   row >> 20 & 63, row >> 26 & 63) for row in rows.tolist()]
+        self.ops = list(map(shared.__getitem__, which.tolist()))
+        self.ex = c.ex.tobytes()
 
 
 def get_replay_table(static):

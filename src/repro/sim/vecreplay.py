@@ -63,6 +63,9 @@ from repro.sim.cpu import (
     EX_LOAD,
     EX_MULT,
     EX_STORE,
+    NO_DST,
+    NO_SRC,
+    N_SLOTS,
 )
 from repro.sim.machine import describe_mode
 from repro.sim.ooo import FRONT_END_LATENCY
@@ -410,10 +413,6 @@ def build_profile_vec(static, trace, arch):
 # ---------------------------------------------------------------------------
 # Cell-group pricing: one trace pass for every cell of a pipeline shape
 # ---------------------------------------------------------------------------
-
-NO_SRC = 34
-NO_DST = 35
-N_SLOTS = 36
 
 _LOW = -(np.int64(1) << 60) if np is not None else None
 

@@ -13,8 +13,10 @@ Examples::
 import argparse
 import sys
 
+from repro.codepack.compressor import compress_program
 from repro.sim.config import BASELINES, CodePackConfig
-from repro.sim.machine import simulate
+from repro.sim.cpu import SimulationError
+from repro.sim.machine import prepare, replays_by_default, simulate
 from repro.sim.replay import TraceCache, record_trace
 from repro.tools.container import load_for_cli, load_image, load_program
 
@@ -90,41 +92,56 @@ def main(argv=None):
     if replay is None and trace_cache is not None:
         replay = True
 
-    if args.compare:
-        # One functional pass serves all three timing models.
-        if replay:
-            if trace_cache is not None:
-                replay = trace_cache.get_or_record(
-                    program, max_instructions=args.max_instructions)
-            else:
-                replay = record_trace(
-                    program, max_instructions=args.max_instructions)
-        native = simulate(program, arch, replay=replay,
-                          max_instructions=args.max_instructions)
-        baseline = simulate(program, arch, codepack=CodePackConfig(),
-                            image=image, replay=replay,
-                            max_instructions=args.max_instructions)
-        optimized = simulate(program, arch,
-                             codepack=CodePackConfig.optimized(),
-                             image=image, replay=replay,
-                             max_instructions=args.max_instructions)
-        print("%-24s %10s %8s %9s" % ("model", "cycles", "IPC",
-                                      "speedup"))
-        for result in (native, baseline, optimized):
-            print("%-24s %10d %8.3f %8.3fx"
-                  % (result.mode, result.cycles, result.ipc,
-                     result.speedup_over(native)))
-        return 0
-
-    codepack = None
-    if args.codepack or args.optimized:
-        codepack = CodePackConfig.optimized() if args.optimized \
-            else CodePackConfig()
-    result = simulate(program, arch, codepack=codepack, image=image,
-                      max_instructions=args.max_instructions,
-                      replay=replay, trace_cache=trace_cache)
+    try:
+        if args.compare:
+            _compare(program, arch, image, replay, trace_cache,
+                     args.max_instructions)
+            return 0
+        codepack = None
+        if args.codepack or args.optimized:
+            codepack = CodePackConfig.optimized() if args.optimized \
+                else CodePackConfig()
+        result = simulate(program, arch, codepack=codepack, image=image,
+                          max_instructions=args.max_instructions,
+                          replay=replay, trace_cache=trace_cache)
+    except SimulationError as error:
+        # An architectural fault of the program (undecodable word, pc
+        # outside .text, misaligned access, unknown syscall).
+        print("%s: %s" % (args.program, error), file=sys.stderr)
+        return 1
     _report(result)
     return 0
+
+
+def _compare(program, arch, image, replay, trace_cache, max_instructions):
+    """Print native, baseline and optimized CodePack side by side.
+
+    The three runs differ only in the I-miss path, so the program is
+    predecoded, compressed and (when replaying) recorded once, and the
+    three share the results.
+    """
+    static = prepare(program)
+    if image is None:
+        image = compress_program(program)
+    if replay is None:
+        replay = replays_by_default(arch)
+    if replay:
+        if trace_cache is not None:
+            replay = trace_cache.get_or_record(
+                program, static=static, max_instructions=max_instructions)
+        else:
+            replay = record_trace(program, static=static,
+                                  max_instructions=max_instructions)
+    results = [simulate(program, arch, codepack=codepack,
+                        image=image if codepack else None, static=static,
+                        replay=replay, max_instructions=max_instructions)
+               for codepack in (None, CodePackConfig(),
+                                CodePackConfig.optimized())]
+    print("%-24s %10s %8s %9s" % ("model", "cycles", "IPC", "speedup"))
+    for result in results:
+        print("%-24s %10d %8.3f %8.3fx"
+              % (result.mode, result.cycles, result.ipc,
+                 result.speedup_over(results[0])))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.eval`` command line."""
 
+import json
+
 import pytest
 
 from repro.eval.__main__ import main, parse_size
@@ -70,3 +72,21 @@ class TestSweepFlags:
                      "--benchmarks", "pegwit", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "backend vec" in out
+
+    def test_stats_time_predecode(self, capsys, tmp_path, monkeypatch):
+        # Predecode is its own phase, still reached through the
+        # runner's module-level prepare (which perfbench wraps).
+        import repro.eval.runner as runner
+
+        calls = []
+        prepare = runner.prepare
+        monkeypatch.setattr(runner, "prepare",
+                            lambda program: calls.append(1)
+                            or prepare(program))
+        path = tmp_path / "stats.json"
+        assert main(["table5", "--scale", "0.02", "--benchmarks", "pegwit",
+                     "--stats", "--stats-json", str(path)]) == 0
+        assert calls == [1]
+        assert "predecode" in capsys.readouterr().out
+        phases = json.loads(path.read_text())["phase_seconds"]
+        assert phases["predecode"] > 0

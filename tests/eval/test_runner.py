@@ -1,5 +1,7 @@
 """Dedicated tests for the Workbench."""
 
+import time
+
 import pytest
 
 from repro.eval.runner import Workbench
@@ -20,6 +22,20 @@ class TestArtifactCaching:
 
     def test_distinct_benchmarks_distinct_artifacts(self, wb):
         assert wb.program("pegwit") is not wb.program("mpeg2enc")
+
+    @pytest.mark.parametrize("artifact", ["trace", "image"])
+    def test_setup_phases_do_not_nest(self, artifact):
+        # A cold trace or image builds what it needs first, each step in
+        # its own phase, so the phases add up to at most the wall time.
+        fresh = Workbench(scale=0.02)
+        start = time.perf_counter()
+        getattr(fresh, artifact)("pegwit")
+        elapsed = time.perf_counter() - start
+        phases = fresh.stats.phase_seconds
+        assert set(phases) == ({"build", "predecode", "trace"}
+                               if artifact == "trace"
+                               else {"build", "compress"})
+        assert sum(phases.values()) <= elapsed
 
 
 class TestRunMemoisation:

@@ -511,6 +511,10 @@ class TestInheritedArtifacts:
         assert wb.stats.worker_builds == 0
         assert sweep._WORKER_MEMO == {}
         self.assert_same_results(serial, wb)
+        # The parent built each replay table before the fork, so the
+        # workers inherited it rather than building one each.
+        for bench in self.BENCHMARKS:
+            assert wb.static(bench).replay_table is not None
 
     def test_spawn_workers_build_each_benchmark_once(self, serial,
                                                      monkeypatch, tmp_path):

@@ -216,7 +216,9 @@ class TestBlockTable:
         table = BlockTable(predecode(program))
         # beq at index 2, syscall at index 5 terminate their blocks.
         assert table.next_term == [2, 2, 2, 5, 5, 5]
+        # Nothing is compiled before a run enters a block, so the
+        # terminators are read from the classification's ex column.
         for i, term in enumerate(table.next_term):
             assert term >= i
-            last = table.ops[term][0]
-            assert last in EX_TERMINATORS or term == len(table.ops) - 1
+            assert table.ex[term] in EX_TERMINATORS \
+                or term == len(table.ex) - 1

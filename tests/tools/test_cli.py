@@ -8,8 +8,14 @@ import sys
 
 import pytest
 
+from repro.isa.program import Program
 from repro.tools import asm, codepack, disasm, run
-from repro.tools.container import load_image, load_program, save_image
+from repro.tools.container import (
+    load_image,
+    load_program,
+    save_image,
+    save_program,
+)
 
 SOURCE = """
 .text 0x400000
@@ -188,6 +194,69 @@ class TestRun:
         assert capsys.readouterr().out == executed
 
 
+class TestCompareSharesWork:
+    """``--compare`` predecodes, compresses and records once for its
+    three runs, and prints what three separate oracle runs give."""
+
+    @pytest.fixture(scope="class")
+    def pegwit(self, tmp_path_factory):
+        from repro.tools.container import save_program
+        from repro.workloads.suite import build_benchmark
+
+        program = build_benchmark("pegwit", 0.02)
+        path = tmp_path_factory.mktemp("pegwit") / "pegwit.ss32"
+        save_program(str(path), program)
+        return path
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        import repro.sim.cpu as cpu
+        import repro.sim.machine as machine
+        import repro.sim.replay as replay
+
+        counts = {"predecode": 0, "compress": 0, "record": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cpu.StaticText, "__init__", counting(
+            "predecode", cpu.StaticText.__init__))
+        compress = counting("compress", machine.compress_program)
+        record = counting("record", replay.record_trace)
+        for owner in (machine, run):
+            monkeypatch.setattr(owner, "compress_program", compress,
+                                raising=False)
+            monkeypatch.setattr(owner, "record_trace", record)
+        return counts
+
+    @pytest.mark.parametrize("arch, records", [("1-issue", 1),
+                                               ("4-issue", 0)])
+    def test_each_step_once(self, pegwit, counts, capsys, arch, records):
+        # 1-issue replays by default, so it records once; 4-issue runs
+        # the execute-driven model and records nothing.
+        assert run.main([str(pegwit), "--arch", arch, "--compare"]) == 0
+        assert counts == {"predecode": 1, "compress": 1, "record": records}
+
+    @pytest.mark.parametrize("arch", ["1-issue", "4-issue", "8-issue"])
+    def test_output_is_the_oracle_runs(self, pegwit, capsys, arch):
+        from repro.sim.config import BASELINES, CodePackConfig
+        from repro.sim.machine import simulate
+
+        assert run.main([str(pegwit), "--arch", arch, "--compare"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        program = load_program(pegwit)
+        oracle = [simulate(program, BASELINES[arch], codepack=codepack,
+                           replay=False)
+                  for codepack in (None, CodePackConfig(),
+                                   CodePackConfig.optimized())]
+        assert out[1:] == ["%-24s %10d %8.3f %8.3fx"
+                           % (r.mode, r.cycles, r.ipc,
+                              r.speedup_over(oracle[0])) for r in oracle]
+
+
 class TestDensify:
     def test_translates_and_verifies(self, tmp_path, program_file,
                                      capsys):
@@ -231,6 +300,10 @@ class TestDamagedInputs:
                            ("tag", b"\xc0" * 35)):
             save_image(tmp_path / ("stream-%s.cpk" % name),
                        dataclasses.replace(image, code_bytes=code))
+        # Intact programs that fault when run.
+        save_program(tmp_path / "empty.ss32", Program(text=[]))
+        save_program(tmp_path / "bad-word.ss32",
+                     Program(text=[0x24080001, 0xFC000000]))
         return tmp_path
 
     @pytest.mark.parametrize("argv, culprit, reason", [
@@ -264,6 +337,16 @@ class TestDamagedInputs:
                      "truncated container", id="disasm"),
         pytest.param(["densify", "trunc.ss32", "-o", "out.ss16"],
                      "trunc.ss32", "truncated container", id="densify"),
+        pytest.param(["run", "empty.ss32"], "empty.ss32",
+                     "pc 0x400000 outside .text", id="run-fault"),
+        pytest.param(["run", "empty.ss32", "--arch", "1-issue"],
+                     "empty.ss32", "pc 0x400000 outside .text",
+                     id="run-fault-replayed"),
+        pytest.param(["run", "empty.ss32", "--compare"], "empty.ss32",
+                     "pc 0x400000 outside .text", id="run-compare-fault"),
+        pytest.param(["run", "bad-word.ss32"], "bad-word.ss32",
+                     "undecodable instruction 0xfc000000 at 0x400004",
+                     id="run-undecodable"),
     ])
     def test_one_line_and_exit_1(self, files, argv, culprit, reason):
         proc = subprocess.run(
