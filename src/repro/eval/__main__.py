@@ -26,10 +26,12 @@ multi-core host prefer ``--jobs auto`` (one worker per CPU); on a
 single CPU it resolves to 1, which prices in-process.  ``--stats`` /
 ``--stats-json`` say where the cells ran (in-process or in workers,
 and how many of each on the kernel) and include the routed cell
-count, a decline histogram and ``worker_builds``.  On the default
-grid the histogram is empty, so any entry means some cells the kernel
-should price fell back to scalar replay; ``worker_builds`` counts the
-artifacts workers had to build themselves, 0 when they are forks.
+count, a decline histogram, ``worker_builds`` and the out-of-order
+kernel's deterministic work counts (``vec_ooo_fe_steps``,
+``vec_ooo_windows``).  On the default grid the histogram is empty, so
+any entry means some cells the kernel should price fell back to scalar
+replay; ``worker_builds`` counts the artifacts workers had to build
+themselves, 0 when they are forks.
 """
 
 import argparse

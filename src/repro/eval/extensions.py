@@ -30,6 +30,15 @@ def _wb(wb):
     return wb if wb is not None else Workbench()
 
 
+def _as_workbench(wb, bench):
+    """``simulate`` keywords that price a custom-miss-path cell of
+    *bench* the way *wb* prices its own cells: under its instruction
+    cap, replaying the trace it holds, or execute-driven when it runs
+    without replay (``--no-replay``)."""
+    return {"max_instructions": wb.max_instructions,
+            "replay": wb.trace(bench) if wb.replay else False}
+
+
 def scheme_comparison(wb=None, benchmarks=None, arch=ARCH_4_ISSUE):
     """Size and speed of CodePack vs CCRP vs full-word dictionary."""
     wb = _wb(wb)
@@ -46,14 +55,16 @@ def scheme_comparison(wb=None, benchmarks=None, arch=ARCH_4_ISSUE):
         ccrp = simulate(program, arch, static=static, mode="ccrp",
                         miss_path=CcrpEngine(ccrp_image, arch.memory,
                                              line_bytes=arch.icache
-                                             .line_bytes))
+                                             .line_bytes),
+                        **_as_workbench(wb, bench))
 
         dict_image = compress_dictword(program)
         dictword = simulate(
             program, arch, static=static, mode="dictword",
             miss_path=DictWordEngine(dict_image, arch.memory,
                                      CodePackConfig(),
-                                     line_bytes=arch.icache.line_bytes))
+                                     line_bytes=arch.icache.line_bytes),
+            **_as_workbench(wb, bench))
 
         rows.append([bench,
                      codepack_image.compression_ratio,
@@ -102,7 +113,8 @@ def software_decompression(wb=None, benchmarks=None,
                 image, arch.memory, cycles_per_instruction=cost,
                 line_bytes=arch.icache.line_bytes)
             result = simulate(program, arch, static=static,
-                              miss_path=engine, mode="software%d" % cost)
+                              miss_path=engine, mode="software%d" % cost,
+                              **_as_workbench(wb, bench))
             row.append(result.speedup_over(native))
         rows.append(row)
     return TableResult(

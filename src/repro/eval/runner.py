@@ -235,16 +235,20 @@ class Workbench:
         on the scalar stream kernel.  A pass is never split, so a cell
         takes the same route at any ``--jobs`` value.  Routes are
         counted in ``stats.vec_routed``; cells the kernel cannot serve
-        land in the ``stats.vec_declines`` histogram.
+        land in the ``stats.vec_declines`` histogram, and the kernel's
+        work counts in ``stats.vec_ooo_fe_steps``/``vec_ooo_windows``.
         """
         benches = self._prepared(cells)
         routes = {}
+        work = {}
         with timed_phase(self.stats, "simulate"):
             priced = vecreplay.price_grid(
                 benches, list(cells),
                 max_instructions=self.max_instructions,
-                declines=self.stats.vec_declines, routes=routes)
+                declines=self.stats.vec_declines, routes=routes,
+                work=work)
         self.stats.vec_routed += sum(routes.values())
+        self.stats.note_work(work)
         leftover = []
         for pos, cell in enumerate(cells):
             result = priced.get(pos)

@@ -322,6 +322,8 @@ class SweepStats:
     sim_runs: int = 0  # simulations run serially in-process
     vec_cells: int = 0  # cells priced by the vectorized replay backend
     vec_routed: int = 0  # cells of passes routed to scalar replay
+    vec_ooo_fe_steps: int = 0  # OOO kernel front-end steps
+    vec_ooo_windows: int = 0  # OOO kernel back-end (RUU) windows
     parallel_cells: int = 0  # simulations run by pool workers
     parallel_vec_cells: int = 0  # of those, priced by the vec backend
     parallel_batches: int = 0
@@ -339,6 +341,11 @@ class SweepStats:
         """Record which replay backend (vec/scalar) served a cell."""
         self.backends[label] = backend
 
+    def note_work(self, work):
+        """Add the OOO kernel's work counts (``price_grid``'s *work*)."""
+        self.vec_ooo_fe_steps += work.get("ooo_fe_steps", 0)
+        self.vec_ooo_windows += work.get("ooo_windows", 0)
+
     def note_declines(self, declines):
         """Merge a vec decline histogram (reason -> cell count)."""
         for reason, count in declines.items():
@@ -353,6 +360,8 @@ class SweepStats:
             "sim_runs": self.sim_runs,
             "vec_cells": self.vec_cells,
             "vec_routed": self.vec_routed,
+            "vec_ooo_fe_steps": self.vec_ooo_fe_steps,
+            "vec_ooo_windows": self.vec_ooo_windows,
             "parallel_cells": self.parallel_cells,
             "parallel_vec_cells": self.parallel_vec_cells,
             "parallel_batches": self.parallel_batches,
@@ -392,6 +401,10 @@ class SweepStats:
             lines.append("vec routed: %d cells of in-order passes and "
                          "passes under the lane crossover, priced by "
                          "scalar replay" % self.vec_routed)
+        if self.vec_ooo_windows:
+            lines.append("vec ooo kernel: %d front-end steps, %d back-end "
+                         "windows" % (self.vec_ooo_fe_steps,
+                                      self.vec_ooo_windows))
         if self.vec_declines:
             parts = ["%s (%d)" % (reason, count) for reason, count
                      in sorted(self.vec_declines.items())]
@@ -560,11 +573,12 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
     ``replay``, loads from the trace cache under *trace_dir*) what it
     lacks once, and reuses it for its later tasks.  Results travel back
     as ``{"results": [(dict, backend), ...], "declines": {...},
-    "routed": n, "builds": n}``, *backend* being ``"vec"`` or
-    ``"scalar"``, *declines* the vec backend's reason histogram for the
-    batch, *routed* how many of its cells the vec backend routed to
-    scalar replay, and *builds* how many artifacts the batch had to
-    build or load itself.
+    "routed": n, "work": {...}, "builds": n}``, *backend* being
+    ``"vec"`` or ``"scalar"``, *declines* the vec backend's reason
+    histogram for the batch, *routed* how many of its cells the vec
+    backend routed to scalar replay, *work* the out-of-order kernel's
+    work counts (``price_grid``'s *work*), and *builds* how many
+    artifacts the batch had to build or load itself.
 
     With ``replay`` on, the whole batch prices over the benchmarks'
     traces through :func:`repro.sim.vecreplay.price_grid` in one
@@ -575,11 +589,12 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
     vec_results = {}
     declines = {}
     routes = {}
+    work = {}
     if replay:
         from repro.sim import vecreplay
         vec_results = vecreplay.price_grid(
             benches, list(cells), max_instructions=max_instructions,
-            declines=declines, routes=routes)
+            declines=declines, routes=routes, work=work)
 
     out = []
     for pos, (bench, arch, codepack) in enumerate(cells):
@@ -593,7 +608,7 @@ def _run_batch(scale, max_instructions, cells, replay=False, trace_dir=None):
                           replay=trace if replay else False)
         out.append((result.to_dict(), "scalar"))
     return {"results": out, "declines": declines,
-            "routed": sum(routes.values()), "builds": builds}
+            "routed": sum(routes.values()), "work": work, "builds": builds}
 
 
 def run_batches(cells, scale, max_instructions, jobs, stats=None,
@@ -640,6 +655,7 @@ def run_batches(cells, scale, max_instructions, jobs, stats=None,
         if stats is not None:
             stats.note_declines(payload["declines"])
             stats.vec_routed += payload["routed"]
+            stats.note_work(payload["work"])
             stats.worker_builds += payload["builds"]
         return scalar
 

@@ -21,10 +21,14 @@ traversal over structure-of-arrays NumPy columns:
   shifted compares.  The result is *equal* to the scalar builder's
   (same array types, same totals) and shares its per-trace cache.
 * :func:`price_cells` prices a family of out-of-order sweep cells at
-  once: the per-instruction pipeline recurrences (fetch-queue slots,
-  register scoreboard, FU pools, commit ring) run in lockstep across a
-  cell axis, with fetch-queue and commit-slot evolution folded into
-  prefix-max scans over chunks between front-end events.  Native and
+  once: the pipeline recurrences (fetch-queue slots, register
+  scoreboard, FU pools, commit ring) run in lockstep across a cell
+  axis, as two coupled loops.  The front end fetches ahead to the next
+  mispredicted branch, stepping only at its own events (live line
+  visits, redirects) and folding event-free runs across redirects into
+  one add; the back end consumes its dispatch floors in windows of at
+  most ``ruu_size`` instructions, with commit slots folded into one
+  prefix-max scan per window.  Native and
   CodePack miss paths become per-event row broadcasts over
   precomputed burst-offset / block-schedule matrices; which events
   hit the output buffer or the index cache is timing-independent, so
@@ -48,6 +52,8 @@ models remain the oracle, and the differential suite in
 statistics-identity across the paper's cell grid.
 """
 
+import bisect
+import heapq
 from array import array
 
 import numpy as np
@@ -414,9 +420,6 @@ def build_profile_vec(static, trace, arch):
 # Cell-group pricing: one trace pass for every cell of a pipeline shape
 # ---------------------------------------------------------------------------
 
-_LOW = -(np.int64(1) << 60) if np is not None else None
-
-
 class _VecUnsupported(Exception):
     """A cell group fell outside the vector paths; price it scalar."""
 
@@ -670,12 +673,23 @@ class _Subgroup:
       (0 on an index hit / perfect index, its burst cost otherwise).
     * ``bh1``/``upd1`` -- per-event output-buffer hit and
       buffer-refresh masks (timing-independent, from the class walks).
+
+    The front end visits a subgroup only at its *live* line visits:
+    miss fills (flag 1) and hits on the most recently filled line
+    (flag 2).  ``nz_*`` list those events in program order (``nz_pos``
+    ends in a sentinel ``n``): the visiting address and its word,
+    ``nz_end`` the position of the next line visit, which closes the
+    consult window the event opens, and ``nz_skip`` the index of the
+    next fill, where a settled subgroup resumes.  ``ni`` is the next
+    event's index; ``w``/``cpos``/``cend`` the open consult window's
+    next word, next position and end; ``fslot`` caches
+    :meth:`fill_slots` until the next fill.
     """
 
-    __slots__ = ("sl", "icache", "line_bytes", "words", "profile",
-                 "fe_pos", "fe_flags", "fe_addr", "n_fe", "fi", "e1",
-                 "consult", "w", "k0", "span_end", "next_fe", "nz_pos",
-                 "nbi", "next_break", "fill_mat", "buf", "native_segs",
+    __slots__ = ("sl", "icache", "line_bytes", "words", "profile", "e1",
+                 "nz_pos", "nz_flag", "nz_addr", "nz_word", "nz_end",
+                 "nz_skip", "ni", "w", "cpos", "cend", "fslot",
+                 "fill_mat", "buf", "native_segs",
                  "cp_segs", "blocks1", "base1", "class_walks",
                  "nbytes1", "cp_sl", "rel1", "idxadd1", "bh1", "upd1",
                  "bh_any", "upd_any", "abs_buf", "ready_buf",
@@ -689,10 +703,11 @@ class _Subgroup:
         self.words = icache.line_bytes // 4
         self.native_segs = []
         self.cp_segs = []
-        self.consult = False
+        self.ni = 0
         self.w = 0
-        self.k0 = 0
-        self.fi = 0
+        self.cpos = 0
+        self.cend = 0
+        self.fslot = None
         self.e1 = 0
         self.buf = None
         self.blocks1 = None
@@ -707,22 +722,31 @@ class _Subgroup:
         self.nobh1 = None
 
     def attach_profile(self, profile, n):
+        """Index *profile*'s live line visits; returns the addresses
+        of its miss fills, in order."""
         self.profile = profile
-        self.fe_pos = fe_pos = profile.fe_pos  # array('q'): fast indexing
-        self.fe_flags = fe_flags = profile.fe_flags
-        self.fe_addr = profile.fe_addr
-        self.n_fe = len(fe_pos)
-        self.next_fe = fe_pos[0] if self.n_fe else n
-        # Positions of the *state-bearing* events (miss fills and
-        # in-flight-line hits).  Plain hit-visits only close a consult
-        # window, so they never force a chunk boundary.
-        fp = np.frombuffer(fe_pos, dtype=np.int64)
-        fl = np.frombuffer(bytes(fe_flags), dtype=np.uint8)
-        self.nz_pos = fp[fl != 0].tolist()
-        self.nz_pos.append(n)
-        self.nbi = 0
-        self.next_break = self.nz_pos[0]
-        self.span_end = 0
+        fp = np.frombuffer(profile.fe_pos, dtype=np.int64)
+        fl = np.frombuffer(bytes(profile.fe_flags), dtype=np.uint8)
+        fa = np.frombuffer(profile.fe_addr, dtype=np.int64)
+        live = np.flatnonzero(fl != 0)
+        flags = fl[live]
+        addrs = fa[live]
+        fills = np.flatnonzero(flags == 1)
+        self.nz_pos = fp[live].tolist() + [n]
+        self.nz_flag = flags.tolist()
+        self.nz_addr = addrs.tolist()
+        self.nz_word = ((addrs % self.line_bytes) >> 2).tolist()
+        self.nz_end = np.append(fp[1:], n)[live].tolist()
+        self.nz_skip = np.append(fills, len(live))[np.searchsorted(
+            fills, np.arange(len(live)), side="right")].tolist()
+        return addrs[flags == 1]
+
+    def fill_slots(self, sf):
+        """Each lane's last-arriving word of its latest fill, as a
+        fetch slot (computed once per fill)."""
+        if self.fslot is None:
+            self.fslot = self.fill_mat.max(axis=1) << sf
+        return self.fslot
 
     def fill_event(self, now, addr):
         """Handle one flag-1 miss event; returns the critical column."""
@@ -800,10 +824,7 @@ def _prepare_group(group_cells, static, trace, image, cols,
         start = col
         sg = _Subgroup(slice(start, start + len(members)), icache)
         profile = _get_profile_for(static, trace, members[0][1])
-        sg.attach_profile(profile, trace.n)
-        fe_flags_np = np.frombuffer(bytes(sg.fe_flags), dtype=np.uint8)
-        fe_addr_np = np.frombuffer(sg.fe_addr, dtype=np.int64)
-        ev_addr1 = fe_addr_np[fe_flags_np == 1]
+        ev_addr1 = sg.attach_profile(profile, trace.n)
         sg.fill_mat = np.zeros((len(members), sg.words), dtype=np.int64)
 
         lcol = 0
@@ -928,14 +949,28 @@ def _get_profile_for(static, trace, arch):
 #     slot_k = k + max(F, max_{m<=k}(A_m - m))
 #
 # and similarly for the commit slot with A_k = (complete_k+1)*W + 1.
-# The kernel chunks the trace at front-end events, redirects (jumps,
-# taken/mispredicted branches) and the RUU size (so ring reads stay
-# pre-chunk), running the per-instruction dispatch / FU / scoreboard
-# recurrence across all cells at once inside each chunk.  In-order
-# passes have no kernel here: :func:`price_grid` routes them to the
-# scalar stream kernel.
+#
+# The two halves are coupled at one point only: a mispredicted branch
+# restarts fetch at its completion plus the penalty (and, on a shared
+# bus, a CodePack fill queues behind earlier D-miss bursts).  So the
+# kernel runs them as two loops.  The *front end* fetches ahead to
+# the next mispredict (or D-miss load on a coupled shared-bus pass, or
+# a fixed run-ahead bound), writing each instruction's dispatch floor
+# into a buffer; it breaks only at its own events -- live line visits
+# and redirects -- and folds event-free runs across redirects into one
+# broadcast add (:func:`_fold_slots`).  The *back end* then consumes
+# the buffer in windows of at most ``ruu_size`` instructions (so ring
+# reads stay pre-window), running the per-instruction dispatch / FU /
+# scoreboard recurrence across all cells at once inside each window.
+# In-order passes have no kernel here: :func:`price_grid` routes them
+# to the scalar stream kernel.
 
 _NO_DEP = -(1 << 62)
+
+#: Most instructions the front end fetches ahead of the back end: the
+#: dispatch-floor buffer holds this many rows per lane, so its size
+#: is bounded by the lane count, never by the trace.
+_RUN_AHEAD = 1024
 
 # Dense per-instruction kind codes for the out-of-order kernel's hot
 # loop: the execution-class / latency / miss-stream decisions are pure
@@ -1019,18 +1054,64 @@ def _dyn_deps(trace, dyn):
     return deps
 
 
-def _run_ooo_group(subgroups, C, n, dyn, kinds, dmiss, brk, arch, dlat,
-                   rlist, deps):
+def _fold_slots(redirects, n, sf):
+    """Fetch slots of an event-free front end, one per position.
+
+    ``slots[k]`` (``k`` in ``[0, n]``) is the fetch slot position *k*
+    gets from a front end that starts aligned at position 0, meets no
+    I-cache event and, after each redirect in *redirects*, moves to the
+    start of the next cycle.  A lane whose slot ``F`` at *k* is
+    congruent to ``slots[k]`` modulo the fetch width tracks it exactly
+    until its next event: its slot at ``k' >= k`` is
+    ``F - slots[k] + slots[k']``, since each block then ends with the
+    same ``len >> sf`` extra cycles in both.
+    """
+    starts = np.concatenate(([0], redirects + 1))
+    lens = np.diff(np.append(starts, n))
+    cycles = np.concatenate(([0], np.cumsum((lens[:-1] >> sf) + 1)))
+    block = np.repeat(np.arange(len(starts)), lens)
+    slots = np.empty(n + 1, dtype=np.int64)
+    slots[:n] = ((cycles[block] << sf) + np.arange(n, dtype=np.int64)
+                 - starts[block])
+    slots[n] = (cycles[-1] << sf) + lens[-1]
+    return slots
+
+
+def _run_ooo_group(subgroups, C, n, dyn, kinds, dmiss, arch, dlat,
+                   redirects, mispredicts, dmiss_loads, deps, work):
+    """Price one out-of-order pass: every lane's cycle count.
+
+    *redirects* holds the positions of jumps and taken or mispredicted
+    branches, *mispredicts* those of mispredicted branches, and
+    *dmiss_loads* (``None`` unless the pass shares its bus with
+    CodePack lanes) those of D-cache-missing loads, each a sorted
+    ``int64`` array.  Each stretch of the trace runs in two loops:
+
+    * the **front end** writes the dispatch floor of every instruction
+      up to the next mispredict, coupled D-miss load or
+      :data:`_RUN_AHEAD` instructions into ``FL``.  A *step* starts
+      with the live line visits at its position, then either folds an
+      event-free run, across redirects, into one broadcast add of the
+      :func:`_fold_slots` column (every lane in phase, no consult
+      window open) or prefix-max scans up to the next redirect;
+    * the **back end** consumes ``FL`` in windows of at most
+      ``ruu_size`` instructions: one commit-ring fold, the
+      per-instruction dispatch / FU loop, one commit-slot scan.
+
+    A mispredict at the end of a stretch then restarts fetch at its
+    completion plus the penalty.  When *work* is given, adds the pass's
+    counts to it (see :func:`price_grid`).
+    """
     width_f = arch.fetch_queue
     width_c = arch.issue_width
     sf = _pow2_shift(width_f)
     sc = _pow2_shift(width_c)
     ruu = arch.ruu_size
     penalty = arch.mispredict_penalty
+    phase_mask = width_f - 1
     low = -(1 << 60)
 
     F = np.zeros(C, dtype=np.int64)
-    F2 = np.empty(C, dtype=np.int64)
     K = np.zeros(C, dtype=np.int64)
     hist = np.zeros((ruu, C), dtype=np.int64)
     # Each FU pool is a (size, C) matrix kept sorted ascending along
@@ -1047,7 +1128,6 @@ def _run_ooo_group(subgroups, C, n, dyn, kinds, dmiss, brk, arch, dlat,
         pools[ex_class] = ([pool[j] for j in range(size)], size, pool)
     alu_pool = pools[0][:2]
     mem_pool = pools[1][:2]
-    mult_pool = pools[2][:2]
 
     def pool_locals(ex_class):
         rows, size, mat = pools[ex_class]
@@ -1061,8 +1141,10 @@ def _run_ooo_group(subgroups, C, n, dyn, kinds, dmiss, brk, arch, dlat,
     mem_mode, mem0, mem1, mem_sort = pool_locals(1)
     mult_mode, mult0, mult1, mult_sort = pool_locals(2)
 
-    A = np.empty((ruu, C), dtype=np.int64)
-    Arows = [A[r] for r in range(ruu)]
+    # Dispatch floors of the current stretch, one row per instruction:
+    # the front end writes them, the back end's windows consume them.
+    FL = np.empty((_RUN_AHEAD, C), dtype=np.int64)
+    FLrows = [FL[r] for r in range(_RUN_AHEAD)]
     # Completion times live in a ring indexed by dynamic position.
     # A register written more than `ruu` instructions ago cannot bind:
     # its writer's completion is below its commit, which is below the
@@ -1073,329 +1155,386 @@ def _run_ooo_group(subgroups, C, n, dyn, kinds, dmiss, brk, arch, dlat,
     CMrows = [CM[r] for r in range(ruu)]
     j0s, j1s = deps[0], deps[1]
     Q = np.empty((ruu, C), dtype=np.int64)
-    KCOL = np.arange(ruu, dtype=np.int64)[:, None]
+    KCOL = np.arange(_RUN_AHEAD, dtype=np.int64)[:, None]
     KNEG = -KCOL
+    KFE = KCOL + (FRONT_END_LATENCY << sf)  # slot offset + front end
+    KB = (1 << sc) - KCOL  # commit: X_k - k with X_k = (CM_k + 1) << sc
     DB = np.empty(C, dtype=np.int64)
     PM = np.empty(C, dtype=np.int64)
     T0 = np.empty(C, dtype=np.int64)
+    TT = np.empty(C, dtype=np.int64)
     subtract = np.subtract
 
     BUSY = None
     EFB = None
     if arch.shared_memory_bus:
         # Single-port bus: one channel per cell, shared by D-miss
-        # bursts and CodePack fill/index bursts.  The kernel visits
-        # events in program order (chunk-head fills, then the chunk's
-        # loads), which is exactly the scalar loop's request order, so
-        # a busy-until column is the whole arbitration state.
+        # bursts and CodePack fill/index bursts.  Fills and loads
+        # reach it in program order (a coupled pass's front end stops
+        # after every D-miss load, so it never fills past a load the
+        # back end has not run), exactly the scalar loop's request
+        # order, so a busy-until column is the whole arbitration state.
         BUSY = np.zeros(C, dtype=np.int64)
         EFB = np.empty(C, dtype=np.int64)
         for sg in subgroups:
             if sg.cp_sl is not None:
                 sg.busy_cp = BUSY[sg.sl][sg.cp_sl]
+    # Each subgroup's slices of the per-lane vectors (all updated in
+    # place, so the views stay live).
+    views = [(F[sg.sl], DB[sg.sl], TT[sg.sl]) for sg in subgroups]
 
-    mi = 0
-    bi = 0
-    last_brk = 0
-    rptr = 0
-    next_red = rlist[rptr]
+    rlist = redirects.tolist()
+    rlist.append(n)
+    mlist = mispredicts.tolist()
+    mlist.append(n)
+    dlist = [n] if dmiss_loads is None else dmiss_loads.tolist() + [n]
+    slots = None  # the _fold_slots column, built on the first fold
+    # The next live line visit of every subgroup, as (position, index).
+    heap = [(sg.nz_pos[0], j) for j, sg in enumerate(subgroups)]
+    heapq.heapify(heap)
+    heapreplace = heapq.heapreplace
+    consulting = []  # subgroups with an open consult window
+    rp = 0
+    mp = 0
+    dp = 0
+    next_mp = mlist[0]
+    steps = windows = folds = 0
+    hits_live = hits_settled = bound_stops = dmiss_stops = 0
     front_end = FRONT_END_LATENCY
     maximum = np.maximum
     minimum = np.minimum
     add = np.add
     ONE = np.int64(1)  # np scalar: skips per-call int conversion
 
-    i = 0
-    while i < n:
-        # ---- front-end events at the chunk head ----------------------
-        any_consult = False
-        for sg in subgroups:
-            if sg.next_fe == i:
-                f = sg.fe_flags[sg.fi]
-                if f == 1:
-                    addr = sg.fe_addr[sg.fi]
-                    fsl = F[sg.sl]
-                    dsl = DB[sg.sl]
-                    crit, critw = sg.fill_event(fsl >> sf, addr)
+    mi = 0
+    pos = 0
+    while pos < n:
+        stop = min(pos + _RUN_AHEAD, next_mp + 1, dlist[dp] + 1, n)
+        if stop == pos + _RUN_AHEAD:
+            bound_stops += 1
+
+        # ==== front end: dispatch floors for [pos, stop) ===============
+        f = pos
+        while f < stop:
+            steps += 1
+            # ---- live line visits at f -----------------------------
+            while heap[0][0] == f:
+                j = heap[0][1]
+                sg = subgroups[j]
+                ni = sg.ni
+                fsl, dsl, _ = views[j]
+                if sg.nz_flag[ni] == 1:
+                    crit, critw = sg.fill_event(fsl >> sf, sg.nz_addr[ni])
                     np.left_shift(crit, sf, dsl)
                     maximum(fsl, dsl, out=fsl)
                     sg.w = critw + 1
-                    sg.consult = True
-                elif f:
-                    addr = sg.fe_addr[sg.fi]
-                    w0 = (addr % sg.line_bytes) >> 2
-                    fsl = F[sg.sl]
-                    dsl = DB[sg.sl]
+                    sg.fslot = None
+                else:
+                    if (fsl >= sg.fill_slots(sf)).all():
+                        # Every lane has fetched past the whole fill:
+                        # no hit on it binds until the next miss.
+                        hits_settled += 1
+                        ni = sg.ni = sg.nz_skip[ni]
+                        heapreplace(heap, (sg.nz_pos[ni], j))
+                        continue
+                    hits_live += 1
+                    w0 = sg.nz_word[ni]
                     np.left_shift(sg.fill_mat[:, w0], sf, dsl)
                     maximum(fsl, dsl, out=fsl)
                     sg.w = w0 + 1
-                    sg.consult = True
-                else:
-                    sg.consult = False
-                if f:
-                    sg.nbi += 1
-                    sg.next_break = sg.nz_pos[sg.nbi]
-                sg.fi += 1
-                sg.next_fe = sg.fe_pos[sg.fi] if sg.fi < sg.n_fe else n
-                sg.k0 = 1
+                sg.cpos = f + 1
+                sg.cend = sg.nz_end[ni]
+                consulting.append(sg)
+                ni = sg.ni = ni + 1
+                heapreplace(heap, (sg.nz_pos[ni], j))
+
+            # ---- fold: an event-free run, in phase, in one add ------
+            if not consulting:
+                if slots is None:
+                    slots = _fold_slots(redirects, n, sf)
+                    floors = (slots >> sf) + front_end
+                # In phase: every lane's slot congruent to slots[f].
+                subtract(F, slots[f], TT)
+                if not (phase_mask and np.bitwise_and(
+                        TT, phase_mask, PM).any()):
+                    while True:
+                        e, j = heap[0]
+                        if e >= stop:
+                            e = stop
+                            break
+                        sg = subgroups[j]
+                        ni = sg.ni
+                        if sg.nz_flag[ni] == 1:
+                            break
+                        # The lanes' slots at e are TT + slots[e].
+                        if not (views[j][2] + slots[e]
+                                >= sg.fill_slots(sf)).all():
+                            break
+                        hits_settled += 1
+                        ni = sg.ni = sg.nz_skip[ni]
+                        heapreplace(heap, (sg.nz_pos[ni], j))
+                    folds += 1
+                    np.right_shift(TT, sf, DB)
+                    add(floors[f:e, None], DB, FL[f - pos:e - pos])
+                    add(TT, slots[e], F)
+                    rp = bisect.bisect_left(rlist, e, rp)
+                    f = e
+                    continue
+
+            # ---- step to the next redirect or live visit -----------
+            rr = rlist[rp]
+            e = rr + 1
+            if heap[0][0] < e:
+                e = heap[0][0]
+            if stop < e:
+                e = stop
+            L = e - f
+            Av = FL[f - pos:e - pos]
+            wrote = False
+            if consulting:
+                still = []
+                for sg in consulting:
+                    cend = sg.cend
+                    end = cend if cend < e else e
+                    span = end - sg.cpos
+                    if span > 0:
+                        if not wrote:
+                            Av.fill(low)
+                            wrote = True
+                        w = sg.w
+                        if w + span > sg.words:
+                            raise _VecUnsupported("fill consult overran "
+                                                  "the line")
+                        np.left_shift(
+                            sg.fill_mat[:, w:w + span].T, sf,
+                            Av[sg.cpos - f:end - f, sg.sl])
+                        sg.w = w + span
+                        sg.cpos = end
+                    if cend > e:
+                        still.append(sg)
+                consulting = still
+            # A redirect moves fetch to the start of the next cycle:
+            # (slot + width) rounded down to a whole cycle.
+            realign = e - 1 == rr
+            if wrote:
+                # Av holds M_k = max(F, runmax(A_m - m)); slot_k = M_k + k.
+                if L > 1:
+                    add(Av, KNEG[:L], Av)
+                    np.maximum.accumulate(Av, axis=0, out=Av)
+                maximum(Av, F, out=Av)
+                add(Av[L - 1], L + width_f if realign else L, F)
+                add(Av, KFE[:L], Av)
             else:
-                sg.k0 = 0
-            if sg.consult:
-                any_consult = True
+                add(F, KFE[:L], Av)
+                add(F, L + width_f if realign else L, F)
+            if realign:
+                np.bitwise_and(F, -width_f, F)
+            np.right_shift(Av, sf, Av)  # Av is now the dispatch floor
+            if realign:
+                rp += 1
+            f = e
 
-        # ---- chunk length --------------------------------------------
-        # Chunks break at state-bearing front-end events (miss fills,
-        # in-flight-line hits), redirects and the RUU size.  Plain
-        # hit-visits (flag 0) only close a consult window, so they are
-        # consumed by the walk below instead of ending the chunk.
-        L = n - i
-        if ruu < L:
-            L = ruu
-        d = next_red - i + 1
-        if d < L:
-            L = d
-        for sg in subgroups:
-            d = sg.next_break - i
-            if d < L:
-                L = d
-        lim = i + L
-        for sg in subgroups:
-            sg.span_end = L if sg.consult else 0
-            if sg.next_fe < lim:
-                # Interior events are all plain hit-visits (flag 0):
-                # the first one closes the consult window, the rest are
-                # no-ops.  Skip them all in one walk.
-                if sg.consult:
-                    sg.span_end = sg.next_fe - i
-                    sg.consult = False
-                fi = sg.fi
-                fe_pos = sg.fe_pos
-                n_fe = sg.n_fe
-                while fi < n_fe and fe_pos[fi] < lim:
-                    fi += 1
-                sg.fi = fi
-                sg.next_fe = fe_pos[fi] if fi < n_fe else n
+        # ==== back end: RUU-sized windows over [pos, stop) =============
+        i = pos
+        while i < stop:
+            L = stop - i
+            if ruu < L:
+                L = ruu
+            lim = i + L
+            off = i - pos
+            Av = FL[off:off + L]
+            windows += 1
+            # Fuse the RUU commit-ring bound in up front: every ring
+            # read in this window is pre-window state (L <= ruu), so
+            # the per-instruction max against hist folds into <=2
+            # block maxes.
+            p0 = i % ruu
+            if p0 + L <= ruu:
+                maximum(Av, hist[p0:p0 + L], out=Av)
+                cmk = CMrows[p0:p0 + L]
+            else:
+                split = ruu - p0
+                maximum(Av[:split], hist[p0:], out=Av[:split])
+                maximum(Av[split:], hist[:L - split], out=Av[split:])
+                cmk = CMrows[p0:] + CMrows[:p0 + L - ruu]
 
-        # ---- fetch slots for the whole chunk -------------------------
-        Av = A[:L]
-        if any_consult:
-            Av.fill(low)
-            for sg in subgroups:
-                span = sg.span_end - sg.k0
-                if span > 0:
-                    base = sg.w
-                    if base + span > sg.words:
-                        raise _VecUnsupported("fill consult overran "
-                                              "the line")
-                    np.left_shift(
-                        sg.fill_mat[:, base:base + span].T, sf,
-                        Av[sg.k0:sg.span_end, sg.sl])
-                    sg.w = base + span
-            if L > 1:
-                add(Av, KNEG[:L], Av)
-                np.maximum.accumulate(Av, axis=0, out=Av)
-            maximum(Av, F, out=Av)
-            if L > 1:
-                add(Av, KCOL[:L], Av)
-        elif L > 1:
-            add(F[None, :], KCOL[:L], Av)
-        else:
-            np.copyto(Av[0], F)
-        Fend = F2
-        add(Av[L - 1], 1, Fend)
-        np.right_shift(Av, sf, Av)
-        add(Av, front_end, Av)  # Av is now the dispatch floor (fetch)
-
-        # Fuse the RUU commit-ring bound in up front: every ring read
-        # in this chunk is pre-chunk state (L <= ruu), so the per-
-        # instruction max against hist folds into <=2 block maxes.
-        p0 = i % ruu
-        if p0 + L <= ruu:
-            maximum(Av, hist[p0:p0 + L], out=Av)
-        else:
-            split = ruu - p0
-            maximum(Av[:split], hist[p0:], out=Av[:split])
-            maximum(Av[split:], hist[:L - split], out=Av[split:])
-
-        # Ring rows for this chunk, in chunk order: instruction i+k
-        # completes into CMrows[(i+k) % ruu].
-        if p0 + L <= ruu:
-            cmk = CMrows[p0:p0 + L]
-        else:
-            cmk = CMrows[p0:] + CMrows[:p0 + L - ruu]
-
-        # ---- per-instruction dispatch / FU / scoreboard --------------
-        # Ufunc `out` is passed positionally throughout this loop: the
-        # kernel is call-overhead bound and keyword parsing is a
-        # measurable share of each tiny-array ufunc call.  The branch
-        # structure follows the memoised kind stream (cheap int
-        # compares ordered by frequency) rather than re-deriving the
-        # class/latency split from the op tuple per visit.
-        stale = i - ruu
-        for op, k, d, cm, j, j2 in zip(dyn[i:lim], kinds[i:lim], Arows,
-                                       cmk, j0s[i:lim], j1s[i:lim]):
-            # d: this slot's dispatch row (free after the fetch fold)
-            if j > stale:
-                maximum(d, CMrows[j % ruu], out=d)
-            if j2 > stale:
-                maximum(d, CMrows[j2 % ruu], out=d)
-            stale += 1
-            if k <= K_BR:  # unit-latency ALU-class op (the bulk)
-                if k == K_BR:
-                    last_brk = brk[bi]
-                    bi += 1
-                maximum(d, alu0, out=d)
-                add(d, ONE, cm)
-                if alu_mode == 3:
-                    # Row 0 is the pool min; overwrite it with the new
-                    # completion and re-sort the columns in place (the
-                    # alu0 view tracks the sorted row 0).
-                    alu0[:] = cm
-                    alu_sort(0)
-                elif alu_mode == 2:
-                    minimum(alu1, cm, out=alu0)
-                    maximum(alu1, cm, out=alu1)
-                else:
-                    alu0[:] = cm
-            elif k <= K_STORE:  # unit-latency load or store
-                dm = dmiss[mi] if k == K_LOAD else 0
-                mi += 1
-                maximum(d, mem0, out=d)
-                if dm:
-                    add(d, ONE, PM)
-                    if BUSY is None:
-                        add(d, dlat, cm)
-                    else:
-                        maximum(d, BUSY, out=EFB)
-                        add(EFB, dlat, cm)
-                        subtract(cm, ONE, BUSY)
-                    v = PM
-                else:
+            # ---- per-instruction dispatch / FU / scoreboard ----------
+            # Ufunc `out` is passed positionally throughout this loop:
+            # the kernel is call-overhead bound and keyword parsing is
+            # a measurable share of each tiny-array ufunc call.  The
+            # branch structure follows the memoised kind stream (cheap
+            # int compares ordered by frequency) rather than
+            # re-deriving the class/latency split from the op tuple
+            # per visit.
+            stale = i - ruu
+            for op, k, d, cm, j, j2 in zip(dyn[i:lim], kinds[i:lim],
+                                           FLrows[off:off + L], cmk,
+                                           j0s[i:lim], j1s[i:lim]):
+                # d: this instruction's dispatch row (its floor)
+                if j > stale:
+                    maximum(d, CMrows[j % ruu], out=d)
+                if j2 > stale:
+                    maximum(d, CMrows[j2 % ruu], out=d)
+                stale += 1
+                if k <= K_BR:  # unit-latency ALU-class op (the bulk)
+                    maximum(d, alu0, out=d)
                     add(d, ONE, cm)
-                    v = cm
-                if mem_mode == 2:
-                    minimum(mem1, v, out=mem0)
-                    maximum(mem1, v, out=mem1)
-                elif mem_mode == 3:
-                    mem0[:] = v
-                    mem_sort(0)
+                    if alu_mode == 3:
+                        # Row 0 is the pool min; overwrite it with the
+                        # new completion and re-sort the columns in
+                        # place (the alu0 view tracks the sorted row 0).
+                        alu0[:] = cm
+                        alu_sort(0)
+                    elif alu_mode == 2:
+                        minimum(alu1, cm, out=alu0)
+                        maximum(alu1, cm, out=alu1)
+                    else:
+                        alu0[:] = cm
+                elif k <= K_STORE:  # unit-latency load or store
+                    dm = dmiss[mi] if k == K_LOAD else 0
+                    mi += 1
+                    maximum(d, mem0, out=d)
+                    if dm:
+                        add(d, ONE, PM)
+                        if BUSY is None:
+                            add(d, dlat, cm)
+                        else:
+                            maximum(d, BUSY, out=EFB)
+                            add(EFB, dlat, cm)
+                            subtract(cm, ONE, BUSY)
+                        v = PM
+                    else:
+                        add(d, ONE, cm)
+                        v = cm
+                    if mem_mode == 2:
+                        minimum(mem1, v, out=mem0)
+                        maximum(mem1, v, out=mem1)
+                    elif mem_mode == 3:
+                        mem0[:] = v
+                        mem_sort(0)
+                    else:
+                        mem0[:] = v
+                elif k == K_MULT:
+                    maximum(d, mult0, out=d)
+                    add(d, op[1], cm)
+                    if mult_mode == 1:
+                        mult0[:] = cm
+                    elif mult_mode == 2:
+                        minimum(mult1, cm, out=mult0)
+                        maximum(mult1, cm, out=mult1)
+                    else:
+                        mult0[:] = cm
+                        mult_sort(0)
                 else:
-                    mem0[:] = v
-            elif k == K_MULT:
-                maximum(d, mult0, out=d)
-                add(d, op[1], cm)
-                if mult_mode == 1:
-                    mult0[:] = cm
-                elif mult_mode == 2:
-                    minimum(mult1, cm, out=mult0)
-                    maximum(mult1, cm, out=mult1)
-                else:
-                    mult0[:] = cm
-                    mult_sort(0)
+                    # Generic slow path (non-unit latency outside the
+                    # multiplier pool) -- never taken on the paper's
+                    # grid, kept for exactness on exotic op streams.
+                    # The ladder writes in place, preserving the
+                    # matrix-row order the fast paths' views depend on.
+                    ex = op[0]
+                    lat = op[1]
+                    dmiss_now = False
+                    if ex == EX_LOAD:
+                        dmiss_now = dmiss[mi] != 0
+                        mi += 1
+                        rows, size = mem_pool
+                    elif ex == EX_STORE:
+                        mi += 1
+                        rows, size = mem_pool
+                    else:
+                        rows, size = alu_pool
+                    maximum(d, rows[0], out=d)
+                    if size == 1:
+                        row = rows[0]
+                        if dmiss_now:
+                            add(d, 1, row)
+                            if BUSY is None:
+                                add(d, dlat, cm)
+                            else:
+                                maximum(d, BUSY, out=EFB)
+                                add(EFB, dlat, cm)
+                                subtract(cm, 1, BUSY)
+                        else:
+                            add(d, 1, row)
+                            add(d, lat, cm)
+                    else:
+                        if dmiss_now:
+                            add(d, 1, PM)
+                            if BUSY is None:
+                                add(d, dlat, cm)
+                            else:
+                                maximum(d, BUSY, out=EFB)
+                                add(EFB, dlat, cm)
+                                subtract(cm, 1, BUSY)
+                            v = PM
+                        else:
+                            add(d, 1, PM)
+                            add(d, lat, cm)
+                            v = PM
+                        for jj in range(1, size - 1):
+                            rj = rows[jj]
+                            minimum(rj, v, out=rows[jj - 1])
+                            maximum(rj, v, out=T0)
+                            v = T0
+                        rl = rows[size - 1]
+                        minimum(rl, v, out=rows[size - 2])
+                        maximum(rl, v, out=rl)
+
+            # ---- commit slots for the whole window -------------------
+            # Slot algebra with the +1/-1 constants folded away: with
+            # X_k = (CM_k+1) << sc, slot_k = k + 1 + max(K, runmax(X-m)),
+            # the reported commit is (slot_k-1) >> sc and the carried
+            # K is slot_{L-1}, so Qv never needs the +-1 round trip.
+            wrapped = p0 + L > ruu
+            if wrapped:
+                Qv = Q[:L]
+                np.left_shift(CM[p0:], sc, Qv[:split])
+                np.left_shift(CM[:L - split], sc, Qv[split:])
             else:
-                # Generic slow path (non-unit latency outside the
-                # multiplier pool) -- never taken on the paper's grid,
-                # kept for exactness on exotic op streams.  The ladder
-                # writes in place, preserving the matrix-row order the
-                # fast paths' views depend on.
-                ex = op[0]
-                lat = op[1]
-                dmiss_now = False
-                if ex == EX_LOAD:
-                    dmiss_now = dmiss[mi] != 0
-                    mi += 1
-                    rows, size = mem_pool
-                elif ex == EX_STORE:
-                    mi += 1
-                    rows, size = mem_pool
-                else:
-                    if ex == EX_BRANCH:
-                        last_brk = brk[bi]
-                        bi += 1
-                    rows, size = alu_pool
-                maximum(d, rows[0], out=d)
-                if size == 1:
-                    row = rows[0]
-                    if dmiss_now:
-                        add(d, 1, row)
-                        if BUSY is None:
-                            add(d, dlat, cm)
-                        else:
-                            maximum(d, BUSY, out=EFB)
-                            add(EFB, dlat, cm)
-                            subtract(cm, 1, BUSY)
-                    else:
-                        add(d, 1, row)
-                        add(d, lat, cm)
-                else:
-                    if dmiss_now:
-                        add(d, 1, PM)
-                        if BUSY is None:
-                            add(d, dlat, cm)
-                        else:
-                            maximum(d, BUSY, out=EFB)
-                            add(EFB, dlat, cm)
-                            subtract(cm, 1, BUSY)
-                        v = PM
-                    else:
-                        add(d, 1, PM)
-                        add(d, lat, cm)
-                        v = PM
-                    for jj in range(1, size - 1):
-                        rj = rows[jj]
-                        minimum(rj, v, out=rows[jj - 1])
-                        maximum(rj, v, out=T0)
-                        v = T0
-                    rl = rows[size - 1]
-                    minimum(rl, v, out=rows[size - 2])
-                    maximum(rl, v, out=rl)
-
-        # ---- commit slots for the whole chunk ------------------------
-        # Slot algebra with the +1/-1 constants folded away: with
-        # X_k = (CM_k+1) << sc, slot_k = k + 1 + max(K, runmax(X-m)),
-        # the reported commit is (slot_k-1) >> sc and the carried K is
-        # slot_{L-1}, so Qv never needs the +-1 round trip.
-        wrapped = p0 + L > ruu
-        if wrapped:
-            Qv = Q[:L]
-            split = ruu - p0
-            add(CM[p0:], 1, Qv[:split])
-            add(CM[:L - split], 1, Qv[split:])
-        else:
-            # Unwrapped chunks fold straight into the hist ring: the
-            # rows being written are exactly the ones this chunk owns.
-            Qv = hist[p0:p0 + L]
-            add(CM[p0:p0 + L], 1, Qv)
-        np.left_shift(Qv, sc, Qv)
-        if L > 1:
-            add(Qv, KNEG[:L], Qv)
-            np.maximum.accumulate(Qv, axis=0, out=Qv)
+                # Unwrapped windows fold straight into the hist ring:
+                # the rows being written are exactly the ones this
+                # window owns.
+                Qv = hist[p0:p0 + L]
+                np.left_shift(CM[p0:p0 + L], sc, Qv)
+            add(Qv, KB[:L], Qv)
+            if L > 1:
+                np.maximum.accumulate(Qv, axis=0, out=Qv)
             maximum(Qv, K, out=Qv)
-            add(Qv, KCOL[:L], Qv)
-        else:
-            maximum(Qv, K, out=Qv)
-        add(Qv[L - 1], 1, K)
-        np.right_shift(Qv, sc, Qv)  # rows: the reported commit times
-        if wrapped:
-            hist[p0:] = Qv[:split]
-            hist[:L - split] = Qv[split:]
+            add(Qv[L - 1], L, K)
+            if L > 1:
+                add(Qv, KCOL[:L], Qv)
+            np.right_shift(Qv, sc, Qv)  # rows: the reported commit times
+            if wrapped:
+                hist[p0:] = Qv[:split]
+                hist[:L - split] = Qv[split:]
+            i = lim
 
-        # ---- redirect at the chunk's last instruction ----------------
-        last = i + L - 1
-        if last == next_red:
-            if dyn[last][0] == EX_JUMP or last_brk == 1:
-                np.right_shift(Fend, sf, Fend)
-                add(Fend, 1, Fend)
-                np.left_shift(Fend, sf, Fend)
-            else:  # mispredicted conditional branch
-                add(cmk[L - 1], penalty, DB)
-                np.left_shift(DB, sf, DB)
-                maximum(Fend, DB, out=Fend)
-            rptr += 1
-            next_red = rlist[rptr]
-        F, F2 = F2, F
-        i += L
+        # ---- a mispredict restarts fetch behind its completion -------
+        # The front end realigned F after the branch like any redirect;
+        # the scalar model does not, but the restart dominates both: a
+        # branch (latency 1) completes at least FRONT_END_LATENCY + 1
+        # = 2 cycles after its fetch cycle, and realigning moves F at
+        # most 2 cycles past it.
+        last = stop - 1
+        if last == next_mp:
+            add(CMrows[last % ruu], penalty, DB)
+            np.left_shift(DB, sf, DB)
+            maximum(F, DB, out=F)
+            mp += 1
+            next_mp = mlist[mp]
+        if last == dlist[dp]:
+            dp += 1
+            dmiss_stops += 1
+        pos = stop
 
+    if work is not None:
+        for key, count in (("ooo_fe_steps", steps), ("ooo_windows", windows),
+                           ("ooo_folds", folds),
+                           ("ooo_hits_live", hits_live),
+                           ("ooo_hits_settled", hits_settled),
+                           ("ooo_bound_stops", bound_stops),
+                           ("ooo_dmiss_stops", dmiss_stops)):
+            work[key] = work.get(key, 0) + count
     K -= 1
     K >>= sc
     return K
@@ -1413,7 +1552,7 @@ def _group_key(arch):
 
 
 def _price_group(program, group_cells, static, trace, image,
-                 critical_word_first, native_prefetch):
+                 critical_word_first, native_prefetch, work=None):
     from repro.sim.replay import _dyn_ops
 
     arch0 = group_cells[0][1]
@@ -1429,15 +1568,19 @@ def _price_group(program, group_cells, static, trace, image,
     dyn = _dyn_ops(trace, get_replay_table(static).ops)
     prof0 = subgroups[0].profile
     dmiss = prof0.dmiss
-    brk = prof0.brk
-    brk_np = np.frombuffer(bytes(brk), dtype=np.uint8)
+    brk_np = np.frombuffer(bytes(prof0.brk), dtype=np.uint8)
     redirects = np.union1d(np.flatnonzero(cols.ex == EX_JUMP),
                            cols.bpos[brk_np != 0])
-    rlist = redirects.tolist()
-    rlist.append(n + 1)  # sentinel past the last chunk
+    dmiss_loads = None
+    if arch0.shared_memory_bus and any(sg.cp_sl is not None
+                                       for sg in subgroups):
+        # CodePack fills queue behind D-miss bursts on this bus.
+        dmiss_loads = cols.mpos[np.frombuffer(bytes(dmiss),
+                                              dtype=np.uint8) != 0]
     cycles = _run_ooo_group(subgroups, C, n, dyn, _dyn_kinds(trace, dyn),
-                            dmiss, brk, arch0, dlat, rlist,
-                            _dyn_deps(trace, dyn))
+                            dmiss, arch0, dlat, redirects,
+                            cols.bpos[brk_np == 2], dmiss_loads,
+                            _dyn_deps(trace, dyn), work)
 
     # A priced trace ends at a halt or at the cap (price_grid declines
     # a fault within the cap), so an unhalted one was cut short.
@@ -1501,7 +1644,7 @@ MIN_LANES_OOO = 12
 
 def price_grid(benches, cells, *, max_instructions,
                critical_word_first=True, native_prefetch=False,
-               min_lanes=None, declines=None, routes=None):
+               min_lanes=None, declines=None, routes=None, work=None):
     """Price sweep cells spanning many benchmarks in shared passes.
 
     ``benches`` maps a benchmark key to its ``(program, static, trace,
@@ -1532,7 +1675,15 @@ def price_grid(benches, cells, *, max_instructions,
     there per machine model (``"ooo"``, ``"inorder"``).  When
     *declines* is given, every cell the kernel could not serve is
     counted there under its reason, so a silent regression to scalar
-    pricing shows up in sweep stats; a route is never a decline.
+    pricing shows up in sweep stats; a route is never a decline.  When
+    *work* is given, the out-of-order kernel adds its deterministic
+    work counts there, summed over the passes it priced:
+    ``ooo_fe_steps`` (front-end steps), ``ooo_windows`` (back-end
+    windows), and of the steps' paths ``ooo_folds`` (event-free runs
+    folded into one add), ``ooo_hits_live``/``ooo_hits_settled``
+    (in-flight-line hits consulted / skipped as settled) and
+    ``ooo_bound_stops``/``ooo_dmiss_stops`` (stretches ended at the
+    run-ahead bound / at a D-miss load of a coupled shared-bus pass).
     """
     out = {}
 
@@ -1570,7 +1721,7 @@ def price_grid(benches, cells, *, max_instructions,
         try:
             out.update(_price_group(
                 program, bcells, static, trace, image,
-                critical_word_first, native_prefetch))
+                critical_word_first, native_prefetch, work))
         except _VecUnsupported as exc:
             decline(len(bcells), str(exc))
     return out
@@ -1579,7 +1730,7 @@ def price_grid(benches, cells, *, max_instructions,
 def price_cells(program, cells, *, static, trace, image=None,
                 max_instructions, critical_word_first=True,
                 native_prefetch=False, min_lanes=None, declines=None,
-                routes=None):
+                routes=None, work=None):
     """Price many sweep cells of one benchmark in shared trace passes.
 
     Single-benchmark wrapper over :func:`price_grid`: ``cells`` is a
@@ -1596,4 +1747,4 @@ def price_cells(program, cells, *, static, trace, image=None,
                       critical_word_first=critical_word_first,
                       native_prefetch=native_prefetch,
                       min_lanes=min_lanes, declines=declines,
-                      routes=routes)
+                      routes=routes, work=work)
