@@ -136,8 +136,11 @@ def test_vec_batch_speedup(wb):
     decompress_scalar = _best_of(
         lambda: [decompress_program(image) for image in images], 3)
     compress_vec = _best_of(lambda: compress_many(programs), 3)
+    # compress_program encodes through the vector kernel, so the
+    # scalar arm calls the scalar tier by name.
     compress_scalar = _best_of(
-        lambda: [compress_program(program) for program in programs], 3)
+        lambda: [compress_words(p.text, text_base=p.text_base, name=p.name)
+                 for p in programs], 3)
 
     decompress_speedup = decompress_scalar / decompress_vec
     compress_speedup = compress_scalar / compress_vec

@@ -236,10 +236,20 @@ def compress_program(program, high_scheme=None, low_scheme=None,
                      block_instructions=BLOCK_INSTRUCTIONS,
                      group_blocks=GROUP_BLOCKS,
                      high_dict=None, low_dict=None):
-    """Compress a :class:`~repro.isa.program.Program`'s ``.text`` section."""
-    return compress_words(program.text, text_base=program.text_base,
-                          name=program.name, high_scheme=high_scheme,
-                          low_scheme=low_scheme,
-                          block_instructions=block_instructions,
-                          group_blocks=group_blocks,
-                          high_dict=high_dict, low_dict=low_dict)
+    """Compress a :class:`~repro.isa.program.Program`'s ``.text`` section.
+
+    Encodes through the vector kernel,
+    :func:`~repro.codepack.veccodec.compress_words_vec`: byte-identical
+    to :func:`compress_words`, which it calls for input it cannot
+    represent so that errors match exactly.
+    """
+    # veccodec builds on this module's types, so it is imported here,
+    # after both modules are initialised, not at the top.
+    from repro.codepack.veccodec import compress_words_vec
+
+    return compress_words_vec(program.text, text_base=program.text_base,
+                              name=program.name, high_scheme=high_scheme,
+                              low_scheme=low_scheme,
+                              block_instructions=block_instructions,
+                              group_blocks=group_blocks,
+                              high_dict=high_dict, low_dict=low_dict)

@@ -13,7 +13,14 @@ pass encodes instructions and resolves branch/jump targets.
 import re
 import struct
 
-from repro.isa.encoding import INSTRUCTION_BYTES, encode_i, encode_j, encode_r
+from repro.isa.encoding import (
+    INSTRUCTION_BYTES,
+    branch_offset,
+    encode_i,
+    encode_j,
+    encode_r,
+    jump_field,
+)
 from repro.isa.opcodes import INSTRUCTIONS, OP_REGIMM
 from repro.isa.program import DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE, Program
 from repro.isa.registers import reg_num
@@ -228,10 +235,10 @@ class _Assembler:
 
     def _branch_offset(self, label, stmt):
         target = self._resolve(label, stmt.lineno)
-        offset = (target - (stmt.addr + INSTRUCTION_BYTES)) // INSTRUCTION_BYTES
-        if not -0x8000 <= offset <= 0x7FFF:
-            raise AssemblerError(stmt.lineno, "branch target too far")
-        return offset
+        try:
+            return branch_offset(target, stmt.addr)
+        except ValueError as exc:
+            raise AssemblerError(stmt.lineno, str(exc)) from None
 
     def encode(self, stmt):
         spec = INSTRUCTIONS[stmt.mnemonic]
@@ -306,9 +313,10 @@ class _Assembler:
         if syntax == "label":
             expect(1)
             target = self._resolve(ops[0], lineno)
-            if target % INSTRUCTION_BYTES:
-                raise AssemblerError(lineno, "unaligned jump target")
-            return encode_j(spec.op, (target // INSTRUCTION_BYTES) & 0x3FFFFFF)
+            try:
+                return encode_j(spec.op, jump_field(target))
+            except ValueError as exc:
+                raise AssemblerError(lineno, str(exc)) from None
         raise AssemblerError(lineno, "unhandled syntax %r" % syntax)
 
     def assemble(self):

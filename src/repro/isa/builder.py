@@ -13,10 +13,24 @@ at build time.  Mnemonics are exposed as methods::
 
 Register operands are plain ints (see :mod:`repro.isa.registers` for the
 symbolic constants); branch/jump targets may be label strings or
-absolute addresses.
+absolute addresses.  A target the encoding cannot reach (an unaligned
+address, a jump at or above 2**28, a branch more than 0x8000 words
+away) raises ``ValueError`` instead of being masked.
+
+Bulk emitters that encode words themselves (the workload generators)
+append to :attr:`AsmBuilder.words` and record label references with
+:meth:`AsmBuilder.fixup`; labels still bind through :meth:`label` and
+every reference resolves in :meth:`build`.
 """
 
-from repro.isa.encoding import INSTRUCTION_BYTES, encode_i, encode_j, encode_r
+from repro.isa.encoding import (
+    INSTRUCTION_BYTES,
+    branch_offset,
+    encode_i,
+    encode_j,
+    encode_r,
+    jump_field,
+)
 from repro.isa.opcodes import INSTRUCTIONS, OP_REGIMM
 from repro.isa.program import DEFAULT_TEXT_BASE, Program
 
@@ -46,6 +60,11 @@ class AsmBuilder:
         self._entry_label = None
 
     # -- layout ------------------------------------------------------------
+
+    @property
+    def words(self):
+        """The live list of emitted words, for bulk emitters to append to."""
+        return self._words
 
     @property
     def here(self):
@@ -97,6 +116,14 @@ class AsmBuilder:
         """Emit a pre-encoded instruction word."""
         self._words.append(word & 0xFFFFFFFF)
 
+    def fixup(self, kind, label):
+        """Patch the next word's *kind* field with *label* at build time.
+
+        *kind* is ``"branch"``, ``"jump"``, ``"hi16"`` or ``"lo16"``; the
+        word itself is emitted next, with that field zero.
+        """
+        self._fixups.append(_Fixup(len(self._words), kind, label))
+
     def _target(self, label_or_addr):
         if isinstance(label_or_addr, str):
             return None, label_or_addr
@@ -105,20 +132,19 @@ class AsmBuilder:
     def _emit_branch(self, spec, rs, rt, target):
         addr, label = self._target(target)
         if label is not None:
-            self._fixups.append(_Fixup(len(self._words), "branch", label))
+            self.fixup("branch", label)
             offset = 0
         else:
-            offset = (addr - (self.here + INSTRUCTION_BYTES)) \
-                // INSTRUCTION_BYTES
+            offset = branch_offset(addr, self.here)
         self.raw(encode_i(spec.op, rs, rt, offset & 0xFFFF))
 
     def _emit_jump(self, spec, target):
         addr, label = self._target(target)
         if label is not None:
-            self._fixups.append(_Fixup(len(self._words), "jump", label))
+            self.fixup("jump", label)
             field = 0
         else:
-            field = (addr // INSTRUCTION_BYTES) & 0x3FFFFFF
+            field = jump_field(addr)
         self.raw(encode_j(spec.op, field))
 
     def _emit(self, spec, args):
@@ -199,9 +225,9 @@ class AsmBuilder:
 
     def la(self, rt, label):
         """Load a label's address; resolved at build time."""
-        self._fixups.append(_Fixup(len(self._words), "hi16", label))
+        self.fixup("hi16", label)
         self._emit(INSTRUCTIONS["lui"], (rt, 0))
-        self._fixups.append(_Fixup(len(self._words), "lo16", label))
+        self.fixup("lo16", label)
         self._emit(INSTRUCTIONS["ori"], (rt, rt, 0))
 
     def branch_always(self, target):
@@ -232,15 +258,21 @@ class AsmBuilder:
             target = self._symbols[fixup.label]
             word = self._words[fixup.index]
             if fixup.kind == "branch":
-                source = self.text_base \
-                    + (fixup.index + 1) * INSTRUCTION_BYTES
-                offset = (target - source) // INSTRUCTION_BYTES
-                if not -0x8000 <= offset <= 0x7FFF:
-                    raise ValueError("branch to %r too far" % fixup.label)
+                try:
+                    offset = branch_offset(
+                        target,
+                        self.text_base + fixup.index * INSTRUCTION_BYTES)
+                except ValueError as exc:
+                    raise ValueError("branch to %r: %s"
+                                     % (fixup.label, exc)) from None
                 word = (word & 0xFFFF0000) | (offset & 0xFFFF)
             elif fixup.kind == "jump":
-                word = (word & 0xFC000000) \
-                    | ((target // INSTRUCTION_BYTES) & 0x3FFFFFF)
+                try:
+                    field = jump_field(target)
+                except ValueError as exc:
+                    raise ValueError("jump to %r: %s"
+                                     % (fixup.label, exc)) from None
+                word = (word & 0xFC000000) | field
             elif fixup.kind == "hi16":
                 word = (word & 0xFFFF0000) | ((target >> 16) & 0xFFFF)
             elif fixup.kind == "lo16":

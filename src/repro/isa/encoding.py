@@ -51,6 +51,40 @@ def encode_j(op, target):
     return (op << 26) | target
 
 
+#: Jump targets the J-type field reaches: the simulator jumps to
+#: ``field * 4``, so a target must be word aligned and below 2**28.
+JUMP_LIMIT = 1 << 28
+
+
+def jump_field(target):
+    """The 26-bit J-type field that jumps to byte address *target*.
+
+    Raises ``ValueError`` for a target the field cannot reach (unaligned,
+    negative, or at/above :data:`JUMP_LIMIT`) rather than masking it.
+    """
+    if target % INSTRUCTION_BYTES or not 0 <= target < JUMP_LIMIT:
+        raise ValueError("jump target %#x not reachable: must be word "
+                         "aligned and below %#x" % (target, JUMP_LIMIT))
+    return target // INSTRUCTION_BYTES
+
+
+def branch_offset(target, source):
+    """The signed 16-bit word offset of a branch at *source* to *target*.
+
+    Offsets count from the instruction after the branch.  Raises
+    ``ValueError`` for an unaligned target or one more than 0x8000 words
+    away rather than flooring or wrapping it.
+    """
+    delta = target - (source + INSTRUCTION_BYTES)
+    if delta % INSTRUCTION_BYTES:
+        raise ValueError("branch target %#x not word aligned" % target)
+    offset = delta // INSTRUCTION_BYTES
+    if not -0x8000 <= offset <= 0x7FFF:
+        raise ValueError("branch target %#x too far from %#x"
+                         % (target, source))
+    return offset
+
+
 def sign_extend_16(value):
     """Sign-extend a 16-bit field to a Python int."""
     value &= 0xFFFF

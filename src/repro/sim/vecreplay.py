@@ -72,6 +72,7 @@ from repro.sim.cpu import (
     NO_DST,
     NO_SRC,
     N_SLOTS,
+    text_columns,
 )
 from repro.sim.machine import describe_mode
 from repro.sim.ooo import FRONT_END_LATENCY
@@ -985,26 +986,34 @@ K_MULT = 4   # multiplier-pool op, explicit latency
 K_GEN = 5    # anything else: generic slow path
 
 
-def _dyn_kinds(trace, dyn):
+def _dyn_columns(trace, static):
+    """The trace's ``ex``/``latency``/``s0``/``s1``/``d0``/``d1`` columns.
+
+    The :class:`~repro.sim.replay.ReplayTable` rows the dynamic op
+    stream is made of, gathered straight from the static
+    classification columns at the trace's static indices -- no pass
+    over the op tuples.
+    """
+    c = text_columns(static)
+    index = trace_columns(trace, static).index
+    return (c.ex[index], c.latency[index], c.s0[index], c.s1[index],
+            c.d0[index], c.d1[index])
+
+
+def _dyn_kinds(trace, static):
     """Per-instruction kind codes (``K_*``), memoised on the trace."""
     kinds = getattr(trace, "_vkinds", None)
     if kinds is None:
-        kinds = []
-        ap = kinds.append
-        for op in dyn:
-            ex = op[0]
-            if ex == EX_MULT:
-                ap(K_MULT)
-            elif op[1] != 1:
-                ap(K_GEN)
-            elif ex == EX_LOAD:
-                ap(K_LOAD)
-            elif ex == EX_STORE:
-                ap(K_STORE)
-            elif ex == EX_BRANCH:
-                ap(K_BR)
-            else:
-                ap(K_ALU)
+        ex, latency = _dyn_columns(trace, static)[:2]
+        # Later assignments win: a multiply is K_MULT whatever its
+        # latency, any other non-unit latency is K_GEN.
+        codes = np.full(len(ex), K_ALU, dtype=np.int64)
+        codes[ex == EX_BRANCH] = K_BR
+        codes[ex == EX_STORE] = K_STORE
+        codes[ex == EX_LOAD] = K_LOAD
+        codes[latency != 1] = K_GEN
+        codes[ex == EX_MULT] = K_MULT
+        kinds = codes.tolist()
         try:
             trace._vkinds = kinds
         except AttributeError:
@@ -1012,7 +1021,7 @@ def _dyn_kinds(trace, dyn):
     return kinds
 
 
-def _dyn_deps(trace, dyn):
+def _dyn_deps(trace, static):
     """Last-writer dynamic indices per instruction source slot.
 
     ``deps[0][i]``/``deps[1][i]`` name the dynamic instruction that
@@ -1026,10 +1035,9 @@ def _dyn_deps(trace, dyn):
     """
     deps = getattr(trace, "_vdeps", None)
     if deps is None:
-        n = len(dyn)
-        opmat = np.array(dyn, dtype=np.int64)  # (n, 6) op tuples
-        s0c, s1c = opmat[:, 2], opmat[:, 3]
-        d0c, d1c = opmat[:, 4], opmat[:, 5]
+        s0c, s1c, d0c, d1c = (
+            col.astype(np.int64) for col in _dyn_columns(trace, static)[2:])
+        n = len(s0c)
         pos = np.arange(n, dtype=np.int64)
         # last_w[s, i] = index of the last write to slot s at-or-before
         # i: a one-hot of write positions, prefix-maxed along time.
@@ -1577,10 +1585,10 @@ def _price_group(program, group_cells, static, trace, image,
         # CodePack fills queue behind D-miss bursts on this bus.
         dmiss_loads = cols.mpos[np.frombuffer(bytes(dmiss),
                                               dtype=np.uint8) != 0]
-    cycles = _run_ooo_group(subgroups, C, n, dyn, _dyn_kinds(trace, dyn),
+    cycles = _run_ooo_group(subgroups, C, n, dyn, _dyn_kinds(trace, static),
                             dmiss, arch0, dlat, redirects,
                             cols.bpos[brk_np == 2], dmiss_loads,
-                            _dyn_deps(trace, dyn), work)
+                            _dyn_deps(trace, static), work)
 
     # A priced trace ends at a halt or at the cap (price_grid declines
     # a fault within the cap), so an unhalted one was cut short.

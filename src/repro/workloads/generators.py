@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import accumulate as _accumulate
 
 from repro.isa.builder import AsmBuilder
+from repro.isa.encoding import encode_i, encode_j, encode_r
+from repro.isa.opcodes import INSTRUCTIONS
 from repro.isa.registers import (
     A0, A1, A2, A3, RA, SP, V0, V1,
     S0, S1, S2, S3, S4, S5, S6, S7,
@@ -87,8 +89,14 @@ class CallHeavyParams:
     def __post_init__(self):
         for field in ("n_funcs", "hot_funcs"):
             value = getattr(self, field)
-            if value & (value - 1):
+            if value < 1 or value & (value - 1):
                 raise ValueError("%s must be a power of two" % field)
+        if self.hot_funcs > self.n_funcs:
+            raise ValueError("hot_funcs must not exceed n_funcs")
+        if not 0 <= self.body_min <= self.body_max:
+            raise ValueError("need 0 <= body_min <= body_max")
+        if self.global_span < 1:
+            raise ValueError("global_span must be positive")
         if not 0 <= self.cold_threshold <= 256:
             raise ValueError("cold_threshold out of range")
         if self.reg_profile not in _REG_PROFILES:
@@ -97,160 +105,253 @@ class CallHeavyParams:
             raise ValueError("cold_window must be a power of two")
 
 
-class _OperandSampler:
-    """Draws registers and immediates with benchmark-specific skew.
+def _below(getrandbits, n):
+    """``Random._randbelow(n)`` on CPython, draw for draw.
+
+    ``n.bit_length()`` bits from *getrandbits*, redrawn while the value
+    is ``>= n``: so ``_below(g, 8)`` takes 4 bits and can reject.
+    ``choice(seq)`` is ``seq[_below(g, len(seq))]`` and ``randrange(a,
+    b)`` is ``a + _below(g, b - a)``.  *n* must be positive (for 0 it
+    draws zero bits and rejects forever).  The emitter inlines the same
+    two-line loop, with the bit count folded, where ``n`` is a constant.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _r_word(name, rs=0, rt=0, rd=0, shamt=0):
+    spec = INSTRUCTIONS[name]
+    return encode_r(spec.op, rs, rt, rd, shamt, spec.funct)
+
+
+def _i_word(name, rs=0, rt=0, imm=0):
+    return encode_i(INSTRUCTIONS[name].op, rs, rt, imm)
+
+
+def _field_error(word):
+    raise ValueError("operand field out of range in %#x" % word)
+
+
+# Operand-free words of everything the emitter draws, in the order the
+# draws index them (``choice`` over the ALU forms, ``randbelow(2)`` over
+# the branch and stack forms).  Register and immediate fields are ORed
+# in per word, behind one combined range check.
+_THREE_REG = tuple(_r_word(m) for m in ("addu", "subu", "xor", "or", "and"))
+_IMMEDIATE = tuple(_i_word(m)
+                   for m in ("addiu", "andi", "ori", "xori", "slti"))
+_SHIFT = tuple(_r_word(m) for m in ("sll", "srl", "sra"))
+_SLT = _r_word("slt")
+_BRANCH = (_i_word("bne"), _i_word("beq"))
+_LW = _i_word("lw")
+_SW = _i_word("sw")
+_STACK = (_LW, _SW)
+_LUI = _i_word("lui")
+_ORI = _i_word("ori")
+_MULT = _r_word("mult")
+_MFLO = _r_word("mflo")
+_JAL = encode_j(INSTRUCTIONS["jal"].op, 0)
+_ADDU_V0 = _r_word("addu", rd=V0)
+_JR_RA = _r_word("jr", rs=RA)
+_PROLOGUE = (_i_word("addiu", SP, SP, -_FRAME_BYTES),
+             _i_word("sw", SP, RA, _FRAME_RA_OFFSET))
+_EPILOGUE = (_i_word("lw", SP, RA, _FRAME_RA_OFFSET),
+             _i_word("addiu", SP, SP, _FRAME_BYTES),
+             _JR_RA)
+
+
+def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
+                   table=False):
+    """Emit ``n_leaves`` leaf helpers, then ``n_functions`` full functions.
+
+    Leaves are ``leaf_<i>``: frameless, 4-8 ALU ops.  Functions are
+    ``<stem>_<i>``: a frame, a body of ``body_min``-``body_max`` ops
+    (ALU, stack and global accesses, if-diamonds, multiplies and calls
+    to the leaves) and an epilogue.  With *table*, function *i*'s
+    address is stored at ``TABLE_BASE + 4 * i`` (the dispatch table).
 
     Benchmark content is defined by the exact sequence of draws from the
-    seeded ``Random`` (golden results hash the generated programs), so
-    every shortcut here must consume the underlying stream identically
-    to the call it replaces: ``reg`` inlines ``choices(pop, weights,
-    k=1)[0]`` -- one ``random()`` bisected into a *precomputed*
-    cumulative-weight table instead of rebuilding it per draw -- and the
-    ``randbelow`` attribute exposes the kernel inside ``randrange``
-    (which is just argument checking around one ``_randbelow(width)``
-    call), falling back to ``randrange`` itself off CPython.
+    seeded *rng* (the goldens hash the generated programs), so each
+    draw is written out as the CPython ``random.Random`` call that
+    defines it, named in the comment beside it: ``randbelow(n)`` is
+    :func:`_below`'s loop, ``reg()`` one ``random()`` bisected into the
+    profile's cumulative weights (``choices(regs, weights)[0]``),
+    ``choice(seq)`` is ``seq[randbelow(len(seq))]`` and ``randrange(4,
+    9)`` is ``4 + randbelow(5)``.  Draws come in operand order, and
+    where ``choice`` picks an instruction form its draw precedes the
+    form's immediate or shift-amount draw (a callee before its
+    arguments).
+
+    Words are encoded here and appended to the builder's own word list;
+    labels and branch/call fixups go through the builder, which checks
+    duplicates and resolves the fixups in :meth:`AsmBuilder.build`.
     """
+    words = b.words
+    emit = words.append
+    extend = words.extend
+    label = b.label
+    fixup = b.fixup
+    getrandbits = rng.getrandbits
+    random = rng.random
+    bisect = _bisect
+    regs = _TEMP_REGS
+    cum = list(_accumulate(_REG_PROFILES[params.reg_profile]))
+    total = cum[-1] + 0.0
+    top = len(regs) - 1
+    rare = params.rare_imm_pct
+    small = rare + 50
+    span = params.global_span
+    below_global = 60 + params.global_pct
+    below_call = 92 + params.call_leaf_pct // 2 if n_leaves else 0
+    leaves = ["leaf_%d" % i for i in range(n_leaves)]
+    three_reg, immediate, shift = _THREE_REG, _IMMEDIATE, _SHIFT
 
-    def __init__(self, rng, params):
-        self.rng = rng
-        self.params = params
-        self._weights = _REG_PROFILES[params.reg_profile]
-        self._cum = list(_accumulate(self._weights))
-        self._total = self._cum[-1] + 0.0
-        self._hi = len(_TEMP_REGS) - 1
-        self._random = rng.random
-        self.randbelow = getattr(rng, "_randbelow", rng.randrange)
-
-    def reg(self):
-        return _TEMP_REGS[_bisect(self._cum, self._random() * self._total,
-                                  0, self._hi)]
-
-    def imm(self):
-        """Mostly-small immediates with a rare arbitrary tail."""
-        randbelow = self.randbelow
-        roll = randbelow(100)
-        if roll < self.params.rare_imm_pct:
-            return randbelow(0x8000)
-        if roll < self.params.rare_imm_pct + 50:
-            return randbelow(16)
-        return randbelow(256)
-
-
-def _alu_tables(b):
-    """Per-builder bound-method tables for :func:`_emit_alu`.
-
-    ``rng.choice`` consumes the stream as a function of the sequence
-    *length* only, so hoisting the tuples out of the per-instruction
-    path cannot change the generated program.
-    """
-    tables = getattr(b, "_alu_tables", None)
-    if tables is None:
-        tables = ((b.addu, b.subu, b.xor, b.or_, b.and_),
-                  (b.addiu, b.andi, b.ori, b.xori, b.slti),
-                  (b.sll, b.srl, b.sra))
-        b._alu_tables = tables
-    return tables
-
-
-def _emit_alu(b, s):
-    rng = s.rng
-    choice = s.randbelow(10)
-    rd, rs, rt = s.reg(), s.reg(), s.reg()
-    three_reg, immediate, shift = _alu_tables(b)
-    if choice < 4:
-        rng.choice(three_reg)(rd, rs, rt)
-    elif choice < 7:
-        rng.choice(immediate)(rd, rs, s.imm())
-    elif choice < 9:
-        rng.choice(shift)(rd, rs, 1 + s.randbelow(8))
-    else:
-        b.slt(rd, rs, rt)
-
-
-def _emit_stack_access(b, s):
-    offset = 4 * s.randbelow(8)  # within the frame, below $ra
-    if s.randbelow(2):
-        b.sw(s.reg(), offset, SP)
-    else:
-        b.lw(s.reg(), offset, SP)
-
-
-def _emit_global_access(b, s):
-    # A scattered global: lui/ori materialises the address.  A random
-    # low halfword from a wide span is exactly the kind of value
-    # CodePack leaves raw; a narrow span repeats values the dictionary
-    # captures, which is how the low-raw-fraction benchmarks behave.
-    addr = GLOBAL_BASE + 4 * s.randbelow(s.params.global_span)
-    reg = s.reg()
-    b.li(reg, addr)
-    if s.randbelow(3):
-        b.lw(s.reg(), 0, reg)
-    else:
-        b.sw(s.reg(), 0, reg)
-
-
-def _emit_diamond(b, s, label_stem):
-    ra_reg, rb_reg = s.reg(), s.reg()
-    skip = "%s_skip_%d" % (label_stem, len(b._words))
-    if s.randbelow(2):
-        b.beq(ra_reg, rb_reg, skip)
-    else:
-        b.bne(ra_reg, rb_reg, skip)
-    for _ in range(1 + s.randbelow(3)):
-        _emit_alu(b, s)
-    b.label(skip)
-
-
-def _emit_mult(b, s):
-    b.mult(s.reg(), s.reg())
-    b.mflo(s.reg())
-
-
-def _emit_body(b, s, label_stem, leaf_labels, allow_calls):
-    """Emit one function body between prologue and epilogue."""
-    params = s.params
-    rng = s.rng
-    randbelow = s.randbelow
-    n_ops = params.body_min \
-        + randbelow(params.body_max + 1 - params.body_min)
-    for _ in range(n_ops):
-        kind = randbelow(100)
-        if kind < 45:
-            _emit_alu(b, s)
-        elif kind < 60:
-            _emit_stack_access(b, s)
-        elif kind < 60 + params.global_pct:
-            _emit_global_access(b, s)
-        elif kind < 86:
-            _emit_diamond(b, s, label_stem)
-        elif kind < 92:
-            _emit_mult(b, s)
-        elif allow_calls and leaf_labels \
-                and kind < 92 + params.call_leaf_pct // 2:
-            b.jal(rng.choice(leaf_labels))
+    def alu():
+        form = getrandbits(4)  # randbelow(10)
+        while form >= 10:
+            form = getrandbits(4)
+        rd = regs[bisect(cum, random() * total, 0, top)]
+        rs = regs[bisect(cum, random() * total, 0, top)]
+        rt = regs[bisect(cum, random() * total, 0, top)]
+        if form < 4:
+            c = getrandbits(3)  # choice(three_reg)
+            while c >= 5:
+                c = getrandbits(3)
+            word = three_reg[c] | rs << 21 | rt << 16 | rd << 11
+            bad = (rs | rt | rd) >> 5
+        elif form < 7:
+            c = getrandbits(3)  # choice(immediate), before imm()
+            while c >= 5:
+                c = getrandbits(3)
+            roll = getrandbits(7)  # randbelow(100)
+            while roll >= 100:
+                roll = getrandbits(7)
+            if roll < rare:
+                imm = getrandbits(16)  # randbelow(0x8000)
+                while imm >= 0x8000:
+                    imm = getrandbits(16)
+            elif roll < small:
+                imm = getrandbits(5)  # randbelow(16)
+                while imm >= 16:
+                    imm = getrandbits(5)
+            else:
+                imm = getrandbits(9)  # randbelow(256)
+                while imm >= 256:
+                    imm = getrandbits(9)
+            word = immediate[c] | rs << 21 | rd << 16 | imm
+            bad = (rs | rd) >> 5 | imm >> 16
+        elif form < 9:
+            c = getrandbits(2)  # choice(shift)
+            while c >= 3:
+                c = getrandbits(2)
+            amount = getrandbits(4)  # 1 + randbelow(8)
+            while amount >= 8:
+                amount = getrandbits(4)
+            amount += 1
+            word = shift[c] | rs << 16 | rd << 11 | amount << 6
+            bad = (rs | rd | amount) >> 5
         else:
-            _emit_alu(b, s)
-    b.addu(V0, s.reg(), s.reg())
+            word = _SLT | rs << 21 | rt << 16 | rd << 11
+            bad = (rs | rt | rd) >> 5
+        if bad:
+            _field_error(word)
+        emit(word)
 
+    def result():  # addu $v0, reg(), reg()
+        rs = regs[bisect(cum, random() * total, 0, top)]
+        rt = regs[bisect(cum, random() * total, 0, top)]
+        if (rs | rt) >> 5:
+            _field_error(_ADDU_V0)
+        emit(_ADDU_V0 | rs << 21 | rt << 16)
 
-def _emit_leaf(b, s, name):
-    """A tiny frameless helper (always cache hot)."""
-    b.label(name)
-    for _ in range(s.rng.randrange(4, 9)):
-        _emit_alu(b, s)
-    b.addu(V0, s.reg(), s.reg())
-    b.ret()
+    for name in leaves:
+        label(name)
+        for _ in range(4 + _below(getrandbits, 5)):  # randrange(4, 9)
+            alu()
+        result()
+        emit(_JR_RA)
 
-
-def _emit_function(b, s, name, leaf_labels):
-    """A full generated function with frame, body and epilogue."""
-    b.label(name)
-    b.addiu(SP, SP, -_FRAME_BYTES)
-    b.sw(RA, _FRAME_RA_OFFSET, SP)
-    _emit_body(b, s, name, leaf_labels, allow_calls=True)
-    b.lw(RA, _FRAME_RA_OFFSET, SP)
-    b.addiu(SP, SP, _FRAME_BYTES)
-    b.ret()
+    for index in range(n_functions):
+        name = "%s_%d" % (stem, index)
+        label(name)
+        extend(_PROLOGUE)
+        for _ in range(params.body_min + _below(
+                getrandbits, params.body_max + 1 - params.body_min)):
+            kind = getrandbits(7)  # randbelow(100)
+            while kind >= 100:
+                kind = getrandbits(7)
+            if kind < 45:
+                alu()
+            elif kind < 60:  # stack slot below $ra
+                offset = getrandbits(4)  # 4 * randbelow(8)
+                while offset >= 8:
+                    offset = getrandbits(4)
+                store = getrandbits(2)  # randbelow(2)
+                while store >= 2:
+                    store = getrandbits(2)
+                rt = regs[bisect(cum, random() * total, 0, top)]
+                word = _STACK[store] | SP << 21 | rt << 16 | offset << 2
+                if rt >> 5:
+                    _field_error(word)
+                emit(word)
+            elif kind < below_global:
+                # A scattered global: lui/ori materialises the address.
+                # A random low halfword from a wide span is exactly the
+                # kind of value CodePack leaves raw; a narrow span
+                # repeats values the dictionary captures, which is how
+                # the low-raw-fraction benchmarks behave.
+                addr = (GLOBAL_BASE + 4 * _below(getrandbits, span)) \
+                    & 0xFFFFFFFF
+                base = regs[bisect(cum, random() * total, 0, top)]
+                if base >> 5:
+                    _field_error(_LUI)
+                emit(_LUI | base << 16 | addr >> 16)
+                emit(_ORI | base << 21 | base << 16 | (addr & 0xFFFF))
+                load = getrandbits(2)  # randbelow(3)
+                while load >= 3:
+                    load = getrandbits(2)
+                rt = regs[bisect(cum, random() * total, 0, top)]
+                word = (_LW if load else _SW) | base << 21 | rt << 16
+                if rt >> 5:
+                    _field_error(word)
+                emit(word)
+            elif kind < 86:  # if-diamond over 1-3 ALU ops
+                rs = regs[bisect(cum, random() * total, 0, top)]
+                rt = regs[bisect(cum, random() * total, 0, top)]
+                skip = "%s_skip_%d" % (name, len(words))
+                taken = getrandbits(2)  # randbelow(2): beq, else bne
+                while taken >= 2:
+                    taken = getrandbits(2)
+                word = _BRANCH[taken] | rs << 21 | rt << 16
+                if (rs | rt) >> 5:
+                    _field_error(word)
+                fixup("branch", skip)
+                emit(word)
+                count = getrandbits(2)  # 1 + randbelow(3)
+                while count >= 3:
+                    count = getrandbits(2)
+                for _ in range(1 + count):
+                    alu()
+                label(skip)
+            elif kind < 92:  # mult reg(), reg(); mflo reg()
+                rs = regs[bisect(cum, random() * total, 0, top)]
+                rt = regs[bisect(cum, random() * total, 0, top)]
+                rd = regs[bisect(cum, random() * total, 0, top)]
+                if (rs | rt | rd) >> 5:
+                    _field_error(_MULT)
+                emit(_MULT | rs << 21 | rt << 16)
+                emit(_MFLO | rd << 11)
+            elif kind < below_call:  # jal choice(leaves)
+                fixup("jump", leaves[_below(getrandbits, n_leaves)])
+                emit(_JAL)
+            else:
+                alu()
+        result()
+        extend(_EPILOGUE)
+        if table:
+            b.data_label_word(TABLE_BASE + 4 * index, name)
 
 
 def build_call_heavy(name, params=None):
@@ -309,19 +410,8 @@ def build_call_heavy(name, params=None):
     b.syscall()
     b.halt()
 
-    # ---- leaf helpers (hot, shared) ------------------------------------------
-    sampler = _OperandSampler(rng, params)
-    leaf_labels = []
-    for i in range(8):
-        label = "leaf_%d" % i
-        _emit_leaf(b, sampler, label)
-        leaf_labels.append(label)
-
-    # ---- function population --------------------------------------------------
-    for i in range(params.n_funcs):
-        _emit_function(b, sampler, "fn_%d" % i, leaf_labels)
-        b.data_label_word(TABLE_BASE + 4 * i, "fn_%d" % i)
-
+    # ---- leaf helpers (hot, shared), then the function population -----------
+    _emit_routines(b, rng, params, 8, "fn", params.n_funcs, table=True)
     return b.build()
 
 
@@ -333,9 +423,7 @@ def _emit_dead_library(b, rng, params, count):
     compressed and counted.  This keeps the kernels' compression-ratio
     denominators realistic without perturbing their I-cache behaviour.
     """
-    sampler = _OperandSampler(rng, params)
-    for i in range(count):
-        _emit_function(b, sampler, "lib_%d" % i, leaf_labels=())
+    _emit_routines(b, rng, params, 0, "lib", count)
 
 
 def build_media_kernel(name="mpeg2enc", iterations=600, seed=7,
@@ -476,14 +564,6 @@ def build_crypto_kernel(name="pegwit", iterations=6000, seed=11,
     b.halt()
 
     # Cold function population reached only by the excursions.
-    sampler = _OperandSampler(rng, params)
-    leaf_labels = []
-    for i in range(4):
-        label = "leaf_%d" % i
-        _emit_leaf(b, sampler, label)
-        leaf_labels.append(label)
-    for i in range(cold_funcs):
-        _emit_function(b, sampler, "fn_%d" % i, leaf_labels)
-        b.data_label_word(TABLE_BASE + 4 * i, "fn_%d" % i)
+    _emit_routines(b, rng, params, 4, "fn", cold_funcs, table=True)
     _emit_dead_library(b, rng, params, dead_funcs)
     return b.build()

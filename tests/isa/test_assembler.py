@@ -94,6 +94,32 @@ class TestLabelsAndBranches:
         with pytest.raises(AssemblerError):
             assemble(body + "beq $t0, $t1, target")
 
+    @pytest.mark.parametrize("source", [
+        # The J-type field reaches byte addresses below 2**28 only: the
+        # simulator jumps to field * 4, so 0x10000000 would become 0.
+        ".text 0x10000000\nmain: j main",
+        "jal 0x10000000",
+        "j 0x400002",  # unaligned
+        "j -4",
+    ])
+    def test_unreachable_jump_target_rejected(self, source):
+        with pytest.raises(AssemblerError, match="line"):
+            assemble(source)
+
+    @pytest.mark.parametrize("source", [
+        "beq $t0, $t1, 0x400006",  # unaligned numeric target
+        "bne $t0, $t1, 0x500000",  # 0x3ffff words away
+        "bgez $t0, 0x300000",
+    ])
+    def test_unreachable_numeric_branch_target_rejected(self, source):
+        with pytest.raises(AssemblerError, match="line 1"):
+            assemble(source)
+
+    def test_numeric_targets_in_reach_accepted(self):
+        prog = assemble("j 0x0FFFFFFC\nbeq $t0, $t1, 0x400000")
+        assert decode(prog.text[0]).target * 4 == 0x0FFFFFFC
+        assert sign_extend_16(decode(prog.text[1]).imm) == -2
+
 
 class TestPseudoInstructions:
     def test_nop_is_sll_zero(self):

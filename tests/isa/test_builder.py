@@ -65,6 +65,49 @@ class TestFixups:
         assert decode(prog.text[0]).target * 4 == 0x400000
         assert sign_extend_16(decode(prog.text[1]).imm) == 1
 
+    @pytest.mark.parametrize("target", [0x10000000, 0x400002, -4])
+    def test_unreachable_numeric_jump_rejected(self, target):
+        with pytest.raises(ValueError, match="jump target"):
+            AsmBuilder().j(target)
+
+    def test_unreachable_label_jump_rejected_at_build(self):
+        # 0x10000000 is past the J-type field's 2**28 reach; masking it
+        # would jump to 0.
+        b = AsmBuilder(text_base=0x10000000)
+        b.label("main")
+        b.j("main")
+        with pytest.raises(ValueError, match="'main'"):
+            b.build()
+
+    @pytest.mark.parametrize("gap, ok", [(0x7FFF, True), (0x8000, False)])
+    def test_label_branch_reach_checked_at_build(self, gap, ok):
+        b = AsmBuilder()
+        b.beq(ZERO, ZERO, "far")
+        b.words.extend([0] * gap)
+        b.label("far")
+        if ok:
+            assert decode(b.build().text[0]).imm == gap
+        else:
+            with pytest.raises(ValueError, match="branch to 'far'"):
+                b.build()
+
+    @pytest.mark.parametrize("offset", [0x500000 - 0x400000, 2, -0x20008])
+    def test_unreachable_numeric_branch_rejected(self, offset):
+        b = AsmBuilder()
+        with pytest.raises(ValueError, match="branch target"):
+            b.beq(8, 9, b.here + offset)
+        assert b.words == []
+
+    def test_branch_reach_edges_accepted(self):
+        b = AsmBuilder()
+        b.beq(ZERO, ZERO, b.here + 4 + 4 * 0x7FFF)
+        b.bne(ZERO, ZERO, b.here + 4 - 4 * 0x8000)
+        b.j(0x0FFFFFFC)
+        prog = b.build()
+        assert decode(prog.text[0]).imm == 0x7FFF
+        assert decode(prog.text[1]).imm == 0x8000
+        assert decode(prog.text[2]).target * 4 == 0x0FFFFFFC
+
     def test_undefined_label_rejected_at_build(self):
         b = AsmBuilder()
         b.j("nowhere")

@@ -34,6 +34,26 @@ class TestParams:
         with pytest.raises(ValueError):
             CallHeavyParams(cold_window=3)
 
+    # Each of these used to construct; the build then hung (randbelow
+    # of n <= 0 rejects forever) or made a program whose first call
+    # jumps to 0.
+    @pytest.mark.parametrize("changes", [
+        {"body_min": 12, "body_max": 11},
+        {"body_min": -1, "body_max": 4},
+        {"global_span": 0},
+        {"global_span": -8},
+        {"n_funcs": 0},
+        {"hot_funcs": 0},
+        {"n_funcs": 32, "hot_funcs": 64},
+    ])
+    def test_degenerate_params_rejected_at_construction(self, changes):
+        with pytest.raises(ValueError):
+            CallHeavyParams(**changes)
+
+    def test_edge_params_accepted(self):
+        CallHeavyParams(n_funcs=1, hot_funcs=1, body_min=0, body_max=0,
+                        global_span=1)
+
 
 class TestCallHeavy:
     def test_determinism(self):
