@@ -17,6 +17,14 @@ from dataclasses import dataclass
 WORD_MASK = 0xFFFFFFFF
 INSTRUCTION_BYTES = 4
 
+#: Bit positions of the fields in the formats above (``funct``, ``imm``
+#: and ``target`` start at bit 0).
+OP_SHIFT = 26
+RS_SHIFT = 21
+RT_SHIFT = 16
+RD_SHIFT = 11
+SHAMT_SHIFT = 6
+
 
 def _check_range(value, bits, what):
     if not 0 <= value < (1 << bits):
@@ -31,7 +39,8 @@ def encode_r(op, rs, rt, rd, shamt, funct):
     _check_range(rd, 5, "rd")
     _check_range(shamt, 5, "shamt")
     _check_range(funct, 6, "funct")
-    return (op << 26) | (rs << 21) | (rt << 16) | (rd << 11) | (shamt << 6) | funct
+    return (op << OP_SHIFT | rs << RS_SHIFT | rt << RT_SHIFT | rd << RD_SHIFT
+            | shamt << SHAMT_SHIFT | funct)
 
 
 def encode_i(op, rs, rt, imm):
@@ -41,14 +50,14 @@ def encode_i(op, rs, rt, imm):
     _check_range(rt, 5, "rt")
     if not -0x8000 <= imm <= 0xFFFF:
         raise ValueError("immediate out of range for 16 bits: %d" % imm)
-    return (op << 26) | (rs << 21) | (rt << 16) | (imm & 0xFFFF)
+    return op << OP_SHIFT | rs << RS_SHIFT | rt << RT_SHIFT | (imm & 0xFFFF)
 
 
 def encode_j(op, target):
     """Pack a J-type instruction word.  *target* is a 26-bit word index."""
     _check_range(op, 6, "opcode")
     _check_range(target, 26, "jump target")
-    return (op << 26) | target
+    return op << OP_SHIFT | target
 
 
 #: Jump targets the J-type field reaches: the simulator jumps to
@@ -124,11 +133,11 @@ def decode(word):
         raise ValueError("instruction word out of range: %#x" % word)
     return Instruction(
         word=word,
-        op=(word >> 26) & 0x3F,
-        rs=(word >> 21) & 0x1F,
-        rt=(word >> 16) & 0x1F,
-        rd=(word >> 11) & 0x1F,
-        shamt=(word >> 6) & 0x1F,
+        op=(word >> OP_SHIFT) & 0x3F,
+        rs=(word >> RS_SHIFT) & 0x1F,
+        rt=(word >> RT_SHIFT) & 0x1F,
+        rd=(word >> RD_SHIFT) & 0x1F,
+        shamt=(word >> SHAMT_SHIFT) & 0x1F,
         funct=word & 0x3F,
         imm=word & 0xFFFF,
         target=word & 0x3FFFFFF,

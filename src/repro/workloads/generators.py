@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from itertools import accumulate as _accumulate
 
 from repro.isa.builder import AsmBuilder
-from repro.isa.encoding import encode_i, encode_j, encode_r
+from repro.isa.encoding import (
+    RD_SHIFT,
+    RS_SHIFT,
+    RT_SHIFT,
+    SHAMT_SHIFT,
+    encode_i,
+    encode_j,
+    encode_r,
+)
 from repro.isa.opcodes import INSTRUCTIONS
 from repro.isa.registers import (
     A0, A1, A2, A3, RA, SP, V0, V1,
@@ -219,7 +227,8 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
             c = getrandbits(3)  # choice(three_reg)
             while c >= 5:
                 c = getrandbits(3)
-            word = three_reg[c] | rs << 21 | rt << 16 | rd << 11
+            word = (three_reg[c] | rs << RS_SHIFT | rt << RT_SHIFT
+                    | rd << RD_SHIFT)
             bad = (rs | rt | rd) >> 5
         elif form < 7:
             c = getrandbits(3)  # choice(immediate), before imm()
@@ -240,7 +249,7 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
                 imm = getrandbits(9)  # randbelow(256)
                 while imm >= 256:
                     imm = getrandbits(9)
-            word = immediate[c] | rs << 21 | rd << 16 | imm
+            word = immediate[c] | rs << RS_SHIFT | rd << RT_SHIFT | imm
             bad = (rs | rd) >> 5 | imm >> 16
         elif form < 9:
             c = getrandbits(2)  # choice(shift)
@@ -250,10 +259,11 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
             while amount >= 8:
                 amount = getrandbits(4)
             amount += 1
-            word = shift[c] | rs << 16 | rd << 11 | amount << 6
+            word = (shift[c] | rs << RT_SHIFT | rd << RD_SHIFT
+                    | amount << SHAMT_SHIFT)
             bad = (rs | rd | amount) >> 5
         else:
-            word = _SLT | rs << 21 | rt << 16 | rd << 11
+            word = _SLT | rs << RS_SHIFT | rt << RT_SHIFT | rd << RD_SHIFT
             bad = (rs | rt | rd) >> 5
         if bad:
             _field_error(word)
@@ -264,7 +274,7 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
         rt = regs[bisect(cum, random() * total, 0, top)]
         if (rs | rt) >> 5:
             _field_error(_ADDU_V0)
-        emit(_ADDU_V0 | rs << 21 | rt << 16)
+        emit(_ADDU_V0 | rs << RS_SHIFT | rt << RT_SHIFT)
 
     for name in leaves:
         label(name)
@@ -292,7 +302,8 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
                 while store >= 2:
                     store = getrandbits(2)
                 rt = regs[bisect(cum, random() * total, 0, top)]
-                word = _STACK[store] | SP << 21 | rt << 16 | offset << 2
+                word = (_STACK[store] | SP << RS_SHIFT | rt << RT_SHIFT
+                        | offset << 2)
                 if rt >> 5:
                     _field_error(word)
                 emit(word)
@@ -307,13 +318,15 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
                 base = regs[bisect(cum, random() * total, 0, top)]
                 if base >> 5:
                     _field_error(_LUI)
-                emit(_LUI | base << 16 | addr >> 16)
-                emit(_ORI | base << 21 | base << 16 | (addr & 0xFFFF))
+                emit(_LUI | base << RT_SHIFT | addr >> 16)
+                emit(_ORI | base << RS_SHIFT | base << RT_SHIFT
+                     | (addr & 0xFFFF))
                 load = getrandbits(2)  # randbelow(3)
                 while load >= 3:
                     load = getrandbits(2)
                 rt = regs[bisect(cum, random() * total, 0, top)]
-                word = (_LW if load else _SW) | base << 21 | rt << 16
+                word = ((_LW if load else _SW) | base << RS_SHIFT
+                        | rt << RT_SHIFT)
                 if rt >> 5:
                     _field_error(word)
                 emit(word)
@@ -324,7 +337,7 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
                 taken = getrandbits(2)  # randbelow(2): beq, else bne
                 while taken >= 2:
                     taken = getrandbits(2)
-                word = _BRANCH[taken] | rs << 21 | rt << 16
+                word = _BRANCH[taken] | rs << RS_SHIFT | rt << RT_SHIFT
                 if (rs | rt) >> 5:
                     _field_error(word)
                 fixup("branch", skip)
@@ -341,8 +354,8 @@ def _emit_routines(b, rng, params, n_leaves, stem, n_functions,
                 rd = regs[bisect(cum, random() * total, 0, top)]
                 if (rs | rt | rd) >> 5:
                     _field_error(_MULT)
-                emit(_MULT | rs << 21 | rt << 16)
-                emit(_MFLO | rd << 11)
+                emit(_MULT | rs << RS_SHIFT | rt << RT_SHIFT)
+                emit(_MFLO | rd << RD_SHIFT)
             elif kind < below_call:  # jal choice(leaves)
                 fixup("jump", leaves[_below(getrandbits, n_leaves)])
                 emit(_JAL)

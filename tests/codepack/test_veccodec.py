@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codepack import batch, veccodec
-from repro.codepack.compressor import compress_program, compress_words
+from repro.codepack.compressor import compress_words
 from repro.codepack.decompressor import decompress_program
 from repro.codepack.dictionary import build_dictionaries
 from repro.codepack.reference import (
@@ -91,7 +91,10 @@ class TestWorkloadDifferential:
         for name, program in small_suite.items():
             vec = compress_words_vec(program.text, name=program.name,
                                      text_base=program.text_base)
-            fast = compress_program(program)
+            # compress_program encodes through the vector kernel, so the
+            # scalar tier is called by name.
+            fast = compress_words(program.text, name=program.name,
+                                  text_base=program.text_base)
             ref = compress_program_reference(program)
             assert_images_identical(vec, fast)
             assert_images_identical(vec, ref)
