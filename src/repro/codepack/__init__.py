@@ -16,12 +16,14 @@ paper reports in Tables 3 and 4:
 * :mod:`repro.codepack.codewords` -- the tag/index codeword classes
 * :mod:`repro.codepack.dictionary` -- frequency-driven dictionary build
 * :mod:`repro.codepack.compressor` -- block/group/index-table encoder
-  (the table-driven fast path)
+  (a vector kernel: the production encoder)
 * :mod:`repro.codepack.decompressor` -- the functional decoder (fast)
-* :mod:`repro.codepack.fastcodec` -- precomputed codeword tables the
-  fast paths share
+* :mod:`repro.codepack.fastcodec` -- decode tables and the block
+  decoder (decode-only)
+* :mod:`repro.codepack.veccodec` -- vectorized batch decoders
 * :mod:`repro.codepack.reference` -- the retained per-bit codec, the
-  oracle for the differential test harness
+  oracle for the differential test harness; with the compressor, one
+  of the two encoders
 * :mod:`repro.codepack.batch` -- multi-program / multi-group batch API
 * :mod:`repro.codepack.index_table` -- index entry packing
 * :mod:`repro.codepack.stats` -- bit-exact composition breakdown

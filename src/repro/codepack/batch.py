@@ -3,28 +3,18 @@
 The eval harness compresses six benchmark programs (and the ablation
 sweeps recompress them dozens of times with varied geometry), and the
 serve tier decodes windows of compression groups that may span several
-images.  Each entry point here hands its whole batch to the vectorized
-kernels of :mod:`repro.codepack.veccodec` in one call -- one kernel
-invocation per batch rather than one Python loop iteration per
-codeword.  Outputs are byte-identical to the scalar codec (the
-three-way differential suite asserts it).
+images.  Each entry point here hands its whole batch to a vector
+kernel in one call -- the encoder of :mod:`repro.codepack.compressor`
+or the decoders of :mod:`repro.codepack.veccodec` -- rather than one
+Python loop iteration per codeword.  Images are byte-identical to the
+reference encoder's and decodes word-identical to the block decoder's
+(the differential suites assert both).
 """
 
 from repro.codepack import veccodec
+from repro.codepack.compressor import compress_many
 
 __all__ = ["compress_many", "decompress_many", "decode_groups_batch"]
-
-
-def compress_many(programs, **kwargs):
-    """Compress several programs; returns images in input order.
-
-    *programs* may be :class:`~repro.isa.program.Program` objects or
-    plain lists of instruction words.  The batch runs one fused encode
-    pass when it shares dictionaries, one kernel invocation per program
-    otherwise.  Keyword arguments are forwarded to
-    :func:`~repro.codepack.veccodec.compress_many_vec`.
-    """
-    return veccodec.compress_many_vec(list(programs), **kwargs)
 
 
 def decompress_many(images):

@@ -11,8 +11,9 @@ accumulator to rendered bytes whenever enough whole bytes are pending
 (so appending n bits costs O(n) total, not the O(n^2) a single growing
 integer would), and the reader extracts each field from a byte-slice in
 one ``int.from_bytes`` call.  The CodePack hot loops no longer go
-through this module at all (see :mod:`repro.codepack.fastcodec`), but
-the Huffman/CCRP/dictionary schemes still frame their streams here.
+through this module at all (see :mod:`repro.codepack.compressor` and
+:mod:`repro.codepack.fastcodec`), but the Huffman/CCRP/dictionary
+schemes still frame their streams here.
 """
 
 #: Flush the writer's accumulator once it holds this many bits.

@@ -140,7 +140,8 @@ def halfword_histograms(words):
     histograms each stream with ``np.bincount`` over the full 2^16
     symbol space -- one C pass per dictionary, no per-symbol hashing.
     Out-of-range words (or platforms with unusual C-int sizes) take the
-    generator path, which masks exactly like the reference encoder.
+    generator path, which masks each word to its two halfwords (the
+    encoders reject such words before building dictionaries).
     Both paths produce identical histograms.
     """
     packed = _pack_words(words)

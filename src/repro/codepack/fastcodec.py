@@ -1,35 +1,31 @@
-"""Table-driven fast paths for the CodePack codec.
+"""Table-driven block decoding for the CodePack codec.
 
 The reference codec (:mod:`repro.codepack.reference`) walks every
-codeword field through ``BitWriter``/``BitReader``: per symbol it costs
-a dictionary probe, a linear scan over the codeword classes, several
-bounds-checked bit appends and a handful of attribute updates.  That is
-the transcription the paper's prose suggests -- and it makes the codec,
-not the simulator, the bottleneck of every experiment.
+codeword field through ``BitReader``: per symbol it costs a linear scan
+over the codeword classes, several bounds-checked bit reads and a
+handful of attribute updates.  That is the transcription the paper's
+prose suggests -- and it makes the codec, not the simulator, the
+bottleneck of every experiment.
 
-This module applies the standard trick from fast integer-codec work
-(word-aligned bit packing a la Lemire & Boytsov; table-driven decode a
-la zlib): precompute, per (scheme, dictionary) pair,
+This module applies the table-driven decode of fast integer codecs
+(zlib's, for one): precompute, per (scheme, dictionary) pair, a
+**decode table** of ``2**LOOKUP`` entries indexed by the next
+``LOOKUP`` stream bits, resolving tag + dictionary index in a single
+load -- raw escapes and malformed tags map to sentinel entries.
 
-* an **encode table** mapping each halfword value to its fully-formed
-  codeword -- packed bits, width, and the per-category composition-stat
-  contribution -- so encoding is one dict lookup plus one shift; and
-* a **decode table** of ``2**LOOKUP`` entries indexed by the next
-  ``LOOKUP`` stream bits, resolving tag + dictionary index in a single
-  load -- raw escapes and malformed tags map to sentinel entries.
-
-:class:`BlockEncoder` and :class:`BlockDecoder` wrap the tables with
-whole-block loops that keep the bit cursor in a plain Python int, so a
-16-instruction block is packed/unpacked with no BitWriter/BitReader
-objects at all.  Both are proven bit-identical to the reference by
-``tests/codepack/test_differential.py``.
+:class:`BlockDecoder` wraps the tables with a whole-block loop that
+keeps the bit cursor in a plain Python int, so a 16-instruction block
+is unpacked with no BitReader objects at all.  It serves every
+per-block decode (the functional decompressor, the decompression
+engine of the timing model) and re-decodes the vector kernel's
+malformed lanes for exact errors;
+:mod:`repro.codepack.veccodec` lowers the same tables to arrays.  This
+module is decode-only: encoding is the vector kernel of
+:mod:`repro.codepack.compressor`.  ``tests/codepack/test_differential.py``
+holds the decoder to the reference.
 """
 
-from repro.codepack.codewords import (
-    LOW_ZERO_TAG,
-    LOW_ZERO_TAG_BITS,
-    RAW_HALFWORD_BITS,
-)
+from repro.codepack.codewords import RAW_HALFWORD_BITS
 from repro.codepack.errors import DecompressionError
 
 #: Bits the decoder peeks per symbol: must cover the longest
@@ -39,154 +35,6 @@ DECODE_LOOKUP_BITS = 11
 #: Upper bound on the encoded bits of one instruction (two raw-escaped
 #: halfwords); bounds how far a block decode can possibly read.
 MAX_INSTRUCTION_BITS = 2 * (3 + RAW_HALFWORD_BITS)
-
-_HALF_MASK = 0xFFFF
-
-#: Field width of one packed per-symbol composition-stat counter.  Each
-#: field holds a per-*block* bit count (at most ``block_instructions *
-#: 38`` bits), so 20 bits leaves orders of magnitude of headroom even
-#: for the ablation sweeps' largest block sizes.
-_STAT_SHIFT = 20
-_STAT_MASK = (1 << _STAT_SHIFT) - 1
-
-
-def _pack_stats(compressed_tag, dictionary_index, raw_tag, raw):
-    """Pack the four per-symbol stat contributions into one int."""
-    return ((compressed_tag << (3 * _STAT_SHIFT))
-            | (dictionary_index << (2 * _STAT_SHIFT))
-            | (raw_tag << _STAT_SHIFT)
-            | raw)
-
-
-# -- encode tables -----------------------------------------------------------
-
-def build_encode_table(scheme, dictionary):
-    """Map halfword value -> ``(code, width, packed_stats)``.
-
-    ``code`` is the ready-to-pack codeword (tag and index merged);
-    ``packed_stats`` holds the symbol's four
-    :class:`~repro.codepack.stats.CompositionStats` contributions in
-    :data:`_STAT_SHIFT`-bit fields so the encoder accumulates all of
-    them with one addition.  Only dictionary entries (and the zero
-    escape) are materialised eagerly; raw escapes are added lazily by
-    the encoder as they are first met, so the table stays proportional
-    to the dictionary, not to the 65536-value symbol space.
-    """
-    table = {}
-    if scheme.zero_special:
-        table[0] = (LOW_ZERO_TAG, LOW_ZERO_TAG_BITS,
-                    _pack_stats(LOW_ZERO_TAG_BITS, 0, 0, 0))
-    entries = dictionary.entries
-    n = len(entries)
-    slot = 0
-    # Class-major walk: the per-class tag/width/stat pieces are hoisted
-    # out of the per-slot loop (slot order matches class_of_entry).
-    for cls in scheme.classes:
-        if slot >= n:
-            break
-        tag_shifted = cls.tag << cls.index_bits
-        total = cls.total_bits
-        stat = _pack_stats(cls.tag_bits, cls.index_bits, 0, 0)
-        for index_in_class in range(min(cls.capacity, n - slot)):
-            table[entries[slot]] = (tag_shifted | index_in_class, total, stat)
-            slot += 1
-    return table
-
-
-def raw_encode_entry(scheme, value):
-    """The raw-escape encode-table entry for an out-of-dictionary value."""
-    code = (scheme.raw_tag << RAW_HALFWORD_BITS) | value
-    return (code, scheme.raw_tag_bits + RAW_HALFWORD_BITS,
-            _pack_stats(0, 0, scheme.raw_tag_bits, RAW_HALFWORD_BITS))
-
-
-class BlockEncoder:
-    """Packs compression blocks word-at-a-time via precomputed tables.
-
-    One instance serves a whole program: it lazily memoises a per-word
-    (32-bit) composite entry combining the high and low halfword
-    codewords, so a repeated instruction costs a single dict hit.
-    """
-
-    def __init__(self, high_scheme, low_scheme, high_dict, low_dict):
-        self.high_scheme = high_scheme
-        self.low_scheme = low_scheme
-        self._high = build_encode_table(high_scheme, high_dict)
-        self._low = build_encode_table(low_scheme, low_dict)
-        self._words = {}  # word -> (code, width, packed_stats)
-        # Prebaked raw-escape pieces for the inlined encode-loop miss
-        # path (kept identical to :func:`raw_encode_entry`).
-        self._raw_high = (high_scheme.raw_tag << RAW_HALFWORD_BITS,
-                          high_scheme.raw_tag_bits + RAW_HALFWORD_BITS,
-                          _pack_stats(0, 0, high_scheme.raw_tag_bits,
-                                      RAW_HALFWORD_BITS))
-        self._raw_low = (low_scheme.raw_tag << RAW_HALFWORD_BITS,
-                         low_scheme.raw_tag_bits + RAW_HALFWORD_BITS,
-                         _pack_stats(0, 0, low_scheme.raw_tag_bits,
-                                     RAW_HALFWORD_BITS))
-
-    def encode_block(self, words):
-        """Compress one block; returns ``(bytes, is_raw, ends, stats)``.
-
-        ``stats`` is the plain counter tuple ``(compressed_tag_bits,
-        dictionary_index_bits, raw_tag_bits, raw_bits, pad_bits)`` --
-        the caller aggregates it into one
-        :class:`~repro.codepack.stats.CompositionStats` per program.
-        Bit-identical to
-        :func:`repro.codepack.reference.encode_block_reference`,
-        including the padded-length raw-escape comparison and the exact
-        per-category composition split.
-        """
-        word_table = self._words
-        high = self._high
-        low = self._low
-        raw_code_high, raw_width_high, raw_stat_high = self._raw_high
-        raw_code_low, raw_width_low, raw_stat_low = self._raw_low
-        acc = 0
-        nbits = 0
-        packed = 0
-        ends = []
-        append = ends.append
-        for word in words:
-            entry = word_table.get(word)
-            if entry is None:
-                h = (word >> 16) & _HALF_MASK
-                l = word & _HALF_MASK
-                he = high.get(h)
-                if he is None:
-                    he = high[h] = (raw_code_high | h, raw_width_high,
-                                    raw_stat_high)
-                le = low.get(l)
-                if le is None:
-                    le = low[l] = (raw_code_low | l, raw_width_low,
-                                   raw_stat_low)
-                entry = word_table[word] = ((he[0] << le[1]) | le[0],
-                                            he[1] + le[1], he[2] + le[2])
-            code, width, stat = entry
-            acc = (acc << width) | code
-            nbits += width
-            packed += stat
-            append(nbits)
-        pad = (8 - nbits % 8) % 8
-        native_bits = len(words) * 32
-        if nbits + pad > native_bits:
-            # Whole-block raw escape: store the native words unchanged.
-            parts = []
-            for w in words:
-                if not 0 <= w < (1 << 32):
-                    raise ValueError("value %d does not fit in 32 bits" % w)
-                parts.append(w.to_bytes(4, "big"))
-            data = b"".join(parts)
-            raw_ends = tuple(32 * (i + 1) for i in range(len(words)))
-            return data, True, raw_ends, (0, 0, 0, native_bits, 0)
-        acc <<= pad
-        nbits += pad
-        stats = ((packed >> (3 * _STAT_SHIFT)) & _STAT_MASK,
-                 (packed >> (2 * _STAT_SHIFT)) & _STAT_MASK,
-                 (packed >> _STAT_SHIFT) & _STAT_MASK,
-                 packed & _STAT_MASK,
-                 pad)
-        return acc.to_bytes(nbits // 8, "big"), False, tuple(ends), stats
 
 
 # -- decode tables -----------------------------------------------------------

@@ -6,14 +6,20 @@ field at a time through :class:`~repro.codepack.bitstream.BitWriter` and
 :class:`~repro.codepack.bitstream.BitReader`, mirroring the prose of
 paper Section 3.1 line by line.
 
-The production codec (:mod:`repro.codepack.compressor` and
-:mod:`repro.codepack.decompressor`) packs and unpacks whole blocks at a
-time through precomputed codeword tables -- an order of magnitude
-faster, but much less obviously correct.  The differential test harness
-(``tests/codepack/test_differential.py``) fuzzes both paths against each
-other and asserts bit-exact images, so this module must stay the
-straightforward transcription of the paper: clarity over speed.
+The production codec encodes with a vector kernel
+(:mod:`repro.codepack.compressor`) and decodes through precomputed
+codeword tables (:mod:`repro.codepack.decompressor`) -- an order of
+magnitude faster, but much less obviously correct.  The differential
+test harness (``tests/codepack/test_differential.py``) fuzzes both
+paths against each other and asserts bit-exact images, so this module
+must stay the straightforward transcription of the paper: clarity over
+speed.
+
+:func:`check_encode_input` is the input contract both encoders apply
+before encoding.
 """
+
+import operator
 
 from repro.codepack.bitstream import BitReader, BitWriter
 from repro.codepack.codewords import (
@@ -33,9 +39,35 @@ from repro.isa.encoding import INSTRUCTION_BYTES
 BLOCK_INSTRUCTIONS = 16
 #: Blocks per compression group / index entry.
 GROUP_BLOCKS = 2
+#: Largest instruction word: words are unsigned 32-bit values.
+WORD_MASK = 0xFFFFFFFF
 
 
 # -- encoding ----------------------------------------------------------------
+
+def check_encode_input(words, block_instructions, group_blocks):
+    """Raise ``ValueError`` unless the encoders can represent the input.
+
+    Both geometry parameters must be at least 1, and every word an
+    integer (a Python or NumPy integer: anything ``operator.index``
+    takes) in ``0..0xFFFFFFFF``.  Masking, truncating or building an
+    image with no blocks instead would give one that decodes to other
+    words.  The message names the first bad parameter or word.
+    """
+    for label, value in (("block_instructions", block_instructions),
+                         ("group_blocks", group_blocks)):
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %r"
+                             % (label, value))
+    for position, word in enumerate(words):
+        try:
+            valid = 0 <= operator.index(word) <= WORD_MASK
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError("word %d is not an integer in 0..0xFFFFFFFF: %r"
+                             % (position, word))
+
 
 def encode_halfword(writer, scheme, dictionary, value, stats):
     """Emit one halfword symbol; update *stats*; return bit count."""
@@ -61,11 +93,7 @@ def encode_halfword(writer, scheme, dictionary, value, stats):
 
 def encode_block_reference(words, high_scheme, low_scheme,
                            high_dict, low_dict):
-    """Compress one block per-bit; returns (bytes, is_raw, ends, stats).
-
-    The return contract is shared with the fast path's block encoder so
-    the differential harness can compare block encodings directly.
-    """
+    """Compress one block per-bit; returns (bytes, is_raw, ends, stats)."""
     writer = BitWriter()
     stats = CompositionStats()
     end_bits = []
@@ -97,6 +125,7 @@ def compress_words_reference(words, text_base=0, name="program",
     # Imported here to avoid a circular import at module load.
     from repro.codepack.compressor import BlockInfo, CodePackImage
 
+    check_encode_input(words, block_instructions, group_blocks)
     high_scheme = high_scheme or HIGH_SCHEME
     low_scheme = low_scheme or LOW_SCHEME
     if high_dict is None or low_dict is None:
@@ -156,12 +185,13 @@ def compress_program_reference(program, **kwargs):
 def build_index_entries(blocks, group_blocks):
     """Derive the group index entries from block geometry.
 
-    Shared by the reference and fast compressors (and the batch API) so
-    a future index-format change cannot silently diverge between paths.
-    Each entry covers ``group_blocks`` blocks; only the first two are
-    addressable per the 32-bit format.  A group holding a single (tail)
-    block records that block's length as the second offset, keeping
-    ``block2_base`` pointing one past the end of the code region.
+    The vector encoder builds the same entries from arrays
+    (``compressor._index_entries_vec``); dictword frames its blocks
+    with this one.  Each entry covers ``group_blocks`` blocks; only the
+    first two are addressable per the 32-bit format.  A group holding a
+    single (tail) block records that block's length as the second
+    offset, keeping ``block2_base`` pointing one past the end of the
+    code region.
     """
     entries = []
     for group_start in range(0, len(blocks), group_blocks):

@@ -1,79 +1,42 @@
-"""Vectorized batch kernels for the CodePack bitstream codec.
+"""Vectorized batch decode kernels for the CodePack bitstream codec.
 
-:mod:`repro.codepack.fastcodec` made the codec table-driven but left
-one Python-level loop iteration per codeword.  This module removes that
-last scalar tier for batch work, following the shape of SIMD integer
-codecs (Lemire & Boytsov, "Decoding billions of integers per second
-through vectorization"): classify tags with one table gather, locate
-variable-length boundaries with prefix sums, and touch the bitstream
-through whole-array shift/mask passes.
+:mod:`repro.codepack.fastcodec` made decoding table-driven but left one
+Python-level loop iteration per codeword.  This module removes that
+loop for batch work, following the shape of SIMD integer codecs
+(Lemire & Boytsov, "Decoding billions of integers per second through
+vectorization"): classify tags with one table gather and touch the
+bitstream through whole-array shift/mask passes.  The encoder in
+:mod:`repro.codepack.compressor` is the same kind of kernel.
 
-**Decode** runs all compression blocks of a batch in lockstep: blocks
-are byte-aligned and independent, so they form the vector lanes.  A
+All compression blocks of a batch decode in lockstep: blocks are
+byte-aligned and independent, so they form the vector lanes.  A
 one-time pass builds a sliding 24-bit window per byte position; each
 symbol step then gathers :data:`~repro.codepack.fastcodec.
 DECODE_LOOKUP_BITS`-bit peeks for every lane at once, resolves
-(width, value) through the PR 1 decode tables lowered to flat arrays,
-extracts raw-escape literals where flagged, and advances every lane's
-bit cursor with one vector add.  The multi-image variant concatenates
-code buffers and stacks decode tables, so a whole batch of ``.cpk``
-groups decodes in one kernel call (the serve tier's micro-batches).
+(width, value) through fastcodec's decode tables lowered to flat
+arrays, extracts raw-escape literals where flagged, and advances every
+lane's bit cursor with one vector add.  The multi-image variant
+concatenates code buffers and stacks decode tables, so a whole batch of
+``.cpk`` groups decodes in one kernel call (the serve tier's
+micro-batches).
 
-**Encode** gathers (codeword, width, stat-category) for every halfword
-of every block from dense 65536-entry tables, prefix-sums the widths to
-place each codeword's bit span and each block's byte extent (including
-the padded-length whole-block raw-escape decision), and scatters the
-codewords into the output buffer through four ``bitwise_or.at`` byte
-lanes -- a fused bit-packing kernel with no per-codeword Python.  With
-shared dictionaries, a whole batch of programs is encoded by one fused
-pass over the concatenated symbol stream.  Image assembly is bulk work
-too: block geometry converts to :class:`BlockInfo` rows via whole-array
-``tolist`` passes and the group index entries derive from array slices
-(:func:`_index_entries_vec`), so no per-block NumPy-scalar boxing
-remains on the encode path.
-
-Everything here is an accelerator, never a model change: outputs are
-byte-identical ``.cpk`` artifacts, ``repro.codepack.reference`` stays
-the oracle and :mod:`~repro.codepack.fastcodec` the scalar mid-tier.
-Lanes that decode to an error or overrun (possible only on malformed
-input) are re-run through the scalar decoder so exception types and
-messages match exactly.  :mod:`repro.codepack.batch` exposes the batch
-kernels as one call each.
-
-The three-way differential harness (``tests/codepack/test_veccodec.py``)
-asserts byte-identical images and word-identical decodes across
-reference / fastcodec / veccodec on the workload corpus, adversarial
-shapes, Hypothesis-generated programs and the golden fixtures.
+Decoding here never changes a result: the words match
+:mod:`repro.codepack.reference` (the oracle) and fastcodec's
+:class:`~repro.codepack.fastcodec.BlockDecoder`.  Lanes that decode to
+an error or overrun (possible only on malformed input) are re-run
+through the block decoder so exception types and messages match
+exactly.  :mod:`repro.codepack.batch` exposes the kernels as one call
+each; ``tests/codepack/test_veccodec.py`` holds the decodes to both.
 """
 
 import numpy as np
 
-from repro.codepack.codewords import (
-    HIGH_SCHEME,
-    LOW_SCHEME,
-    LOW_ZERO_TAG,
-    LOW_ZERO_TAG_BITS,
-    RAW_HALFWORD_BITS,
-)
-from repro.codepack.compressor import (
-    BLOCK_INSTRUCTIONS,
-    GROUP_BLOCKS,
-    BlockInfo,
-    CodePackImage,
-    compress_words,
-)
+from repro.codepack.codewords import RAW_HALFWORD_BITS
 from repro.codepack.decompressor import decoder_for_image
-from repro.codepack.dictionary import build_dictionaries
 from repro.codepack.errors import DecompressionError
 from repro.codepack.fastcodec import DECODE_LOOKUP_BITS, build_decode_table
-from repro.codepack.index_table import IndexEntry
-from repro.codepack.reference import build_index_entries
-from repro.codepack.stats import CompositionStats
-from repro.isa.encoding import INSTRUCTION_BYTES
 
 __all__ = [
-    "compress_words_vec",
-    "compress_many_vec",
     "decompress_program_vec",
     "decompress_many_vec",
     "decode_block_sets_vec",
@@ -88,383 +51,6 @@ _TABLE_LEN = 1 << DECODE_LOOKUP_BITS
 #: ``acc << -shift`` zero-fill, in array form).
 _PAD_BYTES = 8
 
-
-# -- encode tables -----------------------------------------------------------
-
-class _EncodeTables:
-    """Dense value-indexed encode tables for one (scheme, dict) pair.
-
-    Unlike the fast path's lazily-grown dict, the vector kernel wants
-    O(1) gathers over the full 16-bit symbol space: every value is
-    pre-resolved to its codeword, width, and stat-category split
-    (compressed-tag bits / dictionary-index bits; raw escapes are the
-    ``tag_bits == 0`` residue).  Built with array scatters, so the cost
-    beyond three dense fills is proportional to the dictionary.
-    """
-
-    def __init__(self, scheme, dictionary):
-        n = 1 << 16
-        values = np.arange(n, dtype=np.int64)
-        self.codes = (scheme.raw_tag << RAW_HALFWORD_BITS) | values
-        self.widths = np.full(
-            n, scheme.raw_tag_bits + RAW_HALFWORD_BITS, dtype=np.int32)
-        self.tag_bits = np.zeros(n, dtype=np.int32)
-        self.index_bits = np.zeros(n, dtype=np.int32)
-        self.raw_tag_bits = scheme.raw_tag_bits
-        entries = np.asarray(dictionary.entries, dtype=np.int64)
-        slot = 0
-        for cls in scheme.classes:
-            if slot >= len(entries):
-                break
-            k = min(cls.capacity, len(entries) - slot)
-            chunk = entries[slot:slot + k]
-            self.codes[chunk] = (cls.tag << cls.index_bits) \
-                | np.arange(k, dtype=np.int64)
-            self.widths[chunk] = cls.total_bits
-            self.tag_bits[chunk] = cls.tag_bits
-            self.index_bits[chunk] = cls.index_bits
-            slot += k
-        if scheme.zero_special:
-            self.codes[0] = LOW_ZERO_TAG
-            self.widths[0] = LOW_ZERO_TAG_BITS
-            self.tag_bits[0] = LOW_ZERO_TAG_BITS
-            self.index_bits[0] = 0
-
-
-def _scatter_codes(buf, start_bits, codes, widths):
-    """OR variable-width *codes* into byte buffer *buf* at *start_bits*.
-
-    Each codeword is at most 19 bits and starts at an arbitrary bit
-    offset, so it spans at most 4 bytes; aligning it inside a 32-bit
-    window and OR-scattering the window's four byte lanes packs every
-    codeword of the batch without a Python-level loop.  ``bitwise_or.at``
-    is unbuffered, so adjacent codewords sharing a boundary byte
-    accumulate correctly (their bit spans never overlap).
-    """
-    byte = start_bits >> 3
-    shifted = codes << (32 - (start_bits & 7) - widths)
-    np.bitwise_or.at(buf, byte, (shifted >> 24) & 0xFF)
-    np.bitwise_or.at(buf, byte + 1, (shifted >> 16) & 0xFF)
-    np.bitwise_or.at(buf, byte + 2, (shifted >> 8) & 0xFF)
-    np.bitwise_or.at(buf, byte + 3, shifted & 0xFF)
-
-
-_EMPTY_ENCODED = (b"", (), (), (), [], (0, 0, 0, 0, 0))
-
-
-def _encode_spans(tables_high, tables_low, words, spans,
-                  block_instructions):
-    """The fused batch encode kernel.
-
-    *words* is the concatenation of one or more programs' instruction
-    streams; *spans* lists each program's ``(start, count)`` slice.
-    Block partitions restart at every span boundary (a tail block never
-    absorbs the next program's words) and each program's block byte
-    offsets restart at zero, exactly as if the programs were encoded
-    one at a time.
-
-    Returns one tuple per span: ``(code_bytes, is_raw, byte_lengths,
-    byte_offsets, ends_per_block, stats_tuple)`` with one entry per
-    block in the geometry sequences, per-instruction end-bit tuples in
-    ``ends_per_block``, and the span's ``(compressed_tag, dict_index,
-    raw_tag, raw, pad)`` bit totals in ``stats_tuple``.
-    """
-    n = len(words)
-    if n == 0:
-        return [_EMPTY_ENCODED for _ in spans]
-    wa = np.asarray(words, dtype=np.int64)
-    hi = (wa >> 16) & _HALF_MASK
-    lo = wa & _HALF_MASK
-
-    tagb = tables_high.tag_bits[hi] + tables_low.tag_bits[lo]
-    idxb = tables_high.index_bits[hi] + tables_low.index_bits[lo]
-    raw_h = tables_high.tag_bits[hi] == 0
-    raw_l = tables_low.tag_bits[lo] == 0
-    code_h = tables_high.codes[hi]
-    width_h = tables_high.widths[hi]
-    code_l = tables_low.codes[lo]
-    width_l = tables_low.widths[lo]
-    word_widths = width_h + width_l
-
-    # Per-span block partition, concatenated: block boundaries are
-    # derived from span-local word counts so spans stay independent
-    # (a tail block never absorbs the next span's words).
-    binst_parts = []
-    for _start, count in spans:
-        if count == 0:
-            continue
-        span_blocks = -(-count // block_instructions)
-        part = np.full(span_blocks, block_instructions, dtype=np.int64)
-        if count % block_instructions:
-            part[-1] = count % block_instructions
-        binst_parts.append(part)
-    span_nblocks = [-(-count // block_instructions) if count else 0
-                    for _start, count in spans]
-    block_starts_of_span = np.concatenate(
-        ([0], np.cumsum(span_nblocks))).astype(np.int64)
-    binst = np.concatenate(binst_parts) if binst_parts \
-        else np.zeros(0, dtype=np.int64)
-    n_blocks = len(binst)
-    bstart = np.concatenate(([0], np.cumsum(binst[:-1]))).astype(np.int64) \
-        if n_blocks else np.zeros(0, dtype=np.int64)
-
-    # Bit geometry via one global prefix sum over codeword widths.
-    csum = np.cumsum(word_widths, dtype=np.int64)
-    block_bit0 = np.where(bstart > 0, csum[bstart - 1], 0)
-    nbits = csum[bstart + binst - 1] - block_bit0
-    pad = (-nbits) % 8
-    is_raw = (nbits + pad) > binst * 32
-    byte_lengths = np.where(is_raw, binst * 4, (nbits + pad) >> 3)
-    # Global byte offsets place blocks in the shared scatter buffer;
-    # per-span offsets (what BlockInfo records) subtract the span base.
-    gboff = np.concatenate(([0], np.cumsum(byte_lengths[:-1]))) \
-        .astype(np.int64) if n_blocks else np.zeros(0, dtype=np.int64)
-    total = int(byte_lengths.sum())
-
-    word_block = np.repeat(np.arange(n_blocks), binst)
-    raw_word = is_raw[word_block]
-    packed = ~raw_word
-    # Absolute output bit of each instruction's high codeword.
-    out_bit0 = gboff[word_block] * 8 \
-        + (csum - word_widths - block_bit0[word_block])
-
-    buf = np.zeros(total + _PAD_BYTES, dtype=np.int64)
-    if packed.any():
-        _scatter_codes(buf, out_bit0[packed], code_h[packed],
-                       width_h[packed])
-        _scatter_codes(buf, out_bit0[packed] + width_h[packed],
-                       code_l[packed], width_l[packed])
-    index_in_block = np.arange(n, dtype=np.int64) - bstart[word_block]
-    if raw_word.any():
-        start = gboff[word_block[raw_word]] + index_in_block[raw_word] * 4
-        native = wa[raw_word]
-        buf[start] = (native >> 24) & 0xFF
-        buf[start + 1] = (native >> 16) & 0xFF
-        buf[start + 2] = (native >> 8) & 0xFF
-        buf[start + 3] = native & 0xFF
-    code_bytes = buf[:total].astype(np.uint8).tobytes()
-
-    # Per-instruction end bits, relative to the block start: the packed
-    # prefix sums, overridden with the 32-bit native grid in raw blocks.
-    ends_flat = np.where(raw_word, (index_in_block + 1) * 32,
-                         csum - block_bit0[word_block]).tolist()
-
-    results = []
-    for span_index, (start, count) in enumerate(spans):
-        if count == 0:
-            results.append(_EMPTY_ENCODED)
-            continue
-        b0 = int(block_starts_of_span[span_index])
-        b1 = b0 + span_nblocks[span_index]
-        span_byte0 = int(gboff[b0])
-        span_bytes = int(byte_lengths[b0:b1].sum())
-        ends = [tuple(ends_flat[s:s + c])
-                for s, c in zip(bstart[b0:b1].tolist(),
-                                binst[b0:b1].tolist())]
-        pk = packed[start:start + count]
-        ct = int(tagb[start:start + count][pk].sum())
-        di = int(idxb[start:start + count][pk].sum())
-        rh = int((raw_h[start:start + count] & pk).sum())
-        rl = int((raw_l[start:start + count] & pk).sum())
-        rt = rh * tables_high.raw_tag_bits + rl * tables_low.raw_tag_bits
-        rb = (rh + rl) * RAW_HALFWORD_BITS \
-            + int((binst[b0:b1][is_raw[b0:b1]] * 32).sum())
-        pad_total = int(pad[b0:b1][~is_raw[b0:b1]].sum())
-        results.append((
-            code_bytes[span_byte0:span_byte0 + span_bytes],
-            is_raw[b0:b1],
-            byte_lengths[b0:b1],
-            gboff[b0:b1] - span_byte0,
-            ends,
-            (ct, di, rt, rb, pad_total),
-        ))
-    return results
-
-
-def _index_entries_vec(byte_offsets, byte_lengths, is_raw, group_blocks):
-    """Vectorized :func:`~repro.codepack.reference.build_index_entries`.
-
-    Derives every group's ``(block1_base, block2_offset, raw flags)``
-    with array slicing over the block-geometry columns instead of a
-    per-group Python walk, then materialises the identical
-    :class:`IndexEntry` list in one bulk pass.  The scalar builder
-    stays the oracle (the differential suite compares images
-    field-for-field).
-    """
-    n = len(byte_offsets)
-    first = np.arange(0, n, group_blocks, dtype=np.int64)
-    second = first + 1
-    has_second = group_blocks > 1
-    with_second = second < n if has_second \
-        else np.zeros(len(first), dtype=bool)
-    second_c = np.minimum(second, max(n - 1, 0))
-    b2 = np.where(with_second,
-                  byte_offsets[second_c] - byte_offsets[first],
-                  byte_lengths[first])
-    r2 = with_second & is_raw[second_c]
-    return [IndexEntry(block1_base=base, block2_offset=off,
-                       block1_raw=raw1, block2_raw=raw2)
-            for base, off, raw1, raw2 in zip(
-                byte_offsets[first].tolist(), b2.tolist(),
-                is_raw[first].tolist(), r2.tolist())]
-
-
-def _assemble_image(words, name, text_base, high_scheme, low_scheme,
-                    high_dict, low_dict, block_instructions, group_blocks,
-                    encoded):
-    """Build a :class:`CodePackImage` from the kernel's block arrays.
-
-    The per-block assembly is bulk work too: geometry columns convert
-    to Python scalars with one ``tolist`` pass each and zip straight
-    into :class:`BlockInfo` constructors, and the group index entries
-    come from :func:`_index_entries_vec` -- no per-block element
-    indexing into arrays (each such access pays a NumPy-scalar box).
-    """
-    code_bytes, is_raw, byte_lengths, byte_offsets, ends, stats = encoded
-    if len(ends):  # empty spans carry plain tuples, not arrays
-        blocks = [
-            BlockInfo(index=i, byte_offset=offset, byte_length=length,
-                      is_raw=raw, n_instructions=len(block_ends),
-                      inst_end_bits=block_ends)
-            for i, (offset, length, raw, block_ends) in enumerate(
-                zip(byte_offsets.tolist(), byte_lengths.tolist(),
-                    is_raw.tolist(), ends))]
-    else:
-        blocks = []
-    if group_blocks >= 1 and len(blocks):
-        index_entries = _index_entries_vec(
-            np.asarray(byte_offsets, dtype=np.int64),
-            np.asarray(byte_lengths, dtype=np.int64),
-            np.asarray(is_raw, dtype=bool), group_blocks)
-    else:  # degenerate geometry: keep the scalar builder's behaviour
-        index_entries = build_index_entries(blocks, group_blocks)
-    ct, di, rt, rb, pad = stats
-    return CodePackImage(
-        name=name,
-        text_base=text_base,
-        n_instructions=len(words),
-        high_dict=high_dict,
-        low_dict=low_dict,
-        index_entries=index_entries,
-        code_bytes=code_bytes,
-        blocks=blocks,
-        stats=CompositionStats(
-            index_table_bits=len(index_entries) * 32,
-            dictionary_bits=high_dict.storage_bits + low_dict.storage_bits,
-            compressed_tag_bits=ct,
-            dictionary_index_bits=di,
-            raw_tag_bits=rt,
-            raw_bits=rb,
-            pad_bits=pad,
-        ),
-        original_bytes=len(words) * INSTRUCTION_BYTES,
-        high_scheme=high_scheme,
-        low_scheme=low_scheme,
-        block_instructions=block_instructions,
-        group_blocks=group_blocks,
-    )
-
-
-def _words_in_range(words):
-    """Whether every word fits the kernel's 32-bit symbol split.
-
-    Out-of-range inputs are delegated to the scalar compressor so its
-    exact error behaviour (mask-then-raw-escape, ``ValueError`` on raw
-    blocks) is preserved.
-    """
-    if not len(words):
-        return True
-    try:
-        arr = np.asarray(words, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return False
-    return bool(((arr >= 0) & (arr <= 0xFFFFFFFF)).all())
-
-
-def compress_words_vec(words, text_base=0, name="program",
-                       high_scheme=None, low_scheme=None,
-                       block_instructions=BLOCK_INSTRUCTIONS,
-                       group_blocks=GROUP_BLOCKS,
-                       high_dict=None, low_dict=None):
-    """Vectorized :func:`~repro.codepack.compressor.compress_words`.
-
-    Byte-identical to the scalar compressor for every input.  Inputs
-    the kernel cannot represent (words outside 32 bits, degenerate
-    geometry) are delegated to the scalar path so error behaviour --
-    exception types and messages -- matches exactly.
-    """
-    words = list(words)
-    if block_instructions < 1 or not _words_in_range(words):
-        return compress_words(words, text_base=text_base, name=name,
-                              high_scheme=high_scheme,
-                              low_scheme=low_scheme,
-                              block_instructions=block_instructions,
-                              group_blocks=group_blocks,
-                              high_dict=high_dict, low_dict=low_dict)
-    high_scheme = high_scheme or HIGH_SCHEME
-    low_scheme = low_scheme or LOW_SCHEME
-    if high_dict is None or low_dict is None:
-        built_high, built_low = build_dictionaries(
-            words, high_scheme=high_scheme, low_scheme=low_scheme)
-        high_dict = high_dict or built_high
-        low_dict = low_dict or built_low
-    encoded = _encode_spans(_EncodeTables(high_scheme, high_dict),
-                            _EncodeTables(low_scheme, low_dict),
-                            words, [(0, len(words))],
-                            block_instructions)[0]
-    return _assemble_image(words, name, text_base, high_scheme, low_scheme,
-                           high_dict, low_dict, block_instructions,
-                           group_blocks, encoded)
-
-
-def compress_many_vec(programs, high_scheme=None, low_scheme=None,
-                      block_instructions=BLOCK_INSTRUCTIONS,
-                      group_blocks=GROUP_BLOCKS,
-                      high_dict=None, low_dict=None):
-    """Batch-compress many programs through the vector kernels.
-
-    Each program normally gets its own load-time dictionaries (the
-    paper's adaptation), so the default path runs one fused kernel
-    invocation per program.  When *both* dictionaries are supplied (the
-    generic-dictionary ablation, or any shared-dictionary fleet) the
-    whole batch shares one pair of encode tables and is compressed by a
-    **single** fused kernel pass over the concatenated symbol stream,
-    split back into per-program images afterwards.
-    """
-    parts = []
-    for item in programs:
-        if hasattr(item, "text"):
-            parts.append((list(item.text), item.text_base, item.name))
-        else:
-            parts.append((list(item), 0, "program"))
-
-    if high_dict is None or low_dict is None or block_instructions < 1 \
-            or not all(_words_in_range(words) for words, _, _ in parts):
-        return [compress_words_vec(words, text_base=base, name=name,
-                                   high_scheme=high_scheme,
-                                   low_scheme=low_scheme,
-                                   block_instructions=block_instructions,
-                                   group_blocks=group_blocks,
-                                   high_dict=high_dict, low_dict=low_dict)
-                for words, base, name in parts]
-
-    high_scheme = high_scheme or HIGH_SCHEME
-    low_scheme = low_scheme or LOW_SCHEME
-    all_words = []
-    spans = []
-    for words, _base, _name in parts:
-        spans.append((len(all_words), len(words)))
-        all_words.extend(words)
-    encoded = _encode_spans(_EncodeTables(high_scheme, high_dict),
-                            _EncodeTables(low_scheme, low_dict),
-                            all_words, spans, block_instructions)
-    return [_assemble_image(words, name, base, high_scheme, low_scheme,
-                            high_dict, low_dict, block_instructions,
-                            group_blocks, enc)
-            for (words, base, name), enc in zip(parts, encoded)]
-
-
-# -- decode ------------------------------------------------------------------
 
 class _DecodeTables:
     """The fast path's decode table lowered to flat gather arrays.

@@ -7,7 +7,10 @@ instructions (``nop``, ``move``, ``li``, ``la``, ``b``, ``beqz``,
 ``bnez``, ``neg``, ``not``).
 
 The first pass lays out sections and records label addresses; the second
-pass encodes instructions and resolves branch/jump targets.
+pass encodes instructions and resolves branch/jump targets.  A 32-bit
+constant (a ``.word`` value, or the operand of ``li``, ``%hi`` or
+``%lo``) outside -0x80000000..0xFFFFFFFF raises :class:`AssemblerError`
+instead of wrapping.
 """
 
 import re
@@ -43,6 +46,14 @@ def _parse_int(token, lineno):
         return int(token, 0)
     except ValueError:
         raise AssemblerError(lineno, "bad integer literal: %r" % token)
+
+
+def _word(value, token, lineno):
+    """A 32-bit constant (-0x80000000..0xFFFFFFFF) as an unsigned word."""
+    if not -0x80000000 <= value <= 0xFFFFFFFF:
+        raise AssemblerError(lineno,
+                             "constant %s does not fit in 32 bits" % token)
+    return value & 0xFFFFFFFF
 
 
 def _strip_comment(line):
@@ -193,7 +204,7 @@ class _Assembler:
             if data_addr is None:
                 data_addr = self.data_base
             for token in _split_operands(rest):
-                value = _parse_int(token, lineno) & 0xFFFFFFFF
+                value = _word(_parse_int(token, lineno), token, lineno)
                 for offset, byte in enumerate(struct.pack(">I", value)):
                     self.data[data_addr + offset] = byte
                 data_addr += 4
@@ -226,9 +237,11 @@ class _Assembler:
         """Resolve an immediate operand: literal, label, or %hi/%lo."""
         token = token.strip()
         if token.startswith("%hi(") and token.endswith(")"):
-            return (self._resolve(token[4:-1], lineno) >> 16) & 0xFFFF
+            inner = token[4:-1]
+            return _word(self._resolve(inner, lineno), inner, lineno) >> 16
         if token.startswith("%lo(") and token.endswith(")"):
-            return self._resolve(token[4:-1], lineno) & 0xFFFF
+            inner = token[4:-1]
+            return _word(self._resolve(inner, lineno), inner, lineno) & 0xFFFF
         if token in self.symbols:
             return self.symbols[token]
         return _parse_int(token, lineno)

@@ -15,13 +15,18 @@ Register operands are plain ints (see :mod:`repro.isa.registers` for the
 symbolic constants); branch/jump targets may be label strings or
 absolute addresses.  A target the encoding cannot reach (an unaligned
 address, a jump at or above 2**28, a branch more than 0x8000 words
-away) raises ``ValueError`` instead of being masked.
+away) raises ``ValueError`` instead of being masked, and so does a
+32-bit value out of range: a constant for :meth:`AsmBuilder.li` or
+:meth:`AsmBuilder.data_word` outside -0x80000000..0xFFFFFFFF, or a word
+for :meth:`AsmBuilder.raw` outside 0..0xFFFFFFFF.
 
 Bulk emitters that encode words themselves (the workload generators)
 append to :attr:`AsmBuilder.words` and record label references with
 :meth:`AsmBuilder.fixup`; labels still bind through :meth:`label` and
 every reference resolves in :meth:`build`.
 """
+
+import operator
 
 from repro.isa.encoding import (
     INSTRUCTION_BYTES,
@@ -33,6 +38,18 @@ from repro.isa.encoding import (
 )
 from repro.isa.opcodes import INSTRUCTIONS, OP_REGIMM
 from repro.isa.program import DEFAULT_TEXT_BASE, Program
+
+#: Smallest value a 32-bit constant may take (signed); the largest is
+#: 0xFFFFFFFF (unsigned).
+_CONSTANT_MIN = -0x80000000
+
+
+def _constant(value, what):
+    """*value* as a 32-bit word; ``ValueError`` if it cannot be one."""
+    value = operator.index(value)
+    if not _CONSTANT_MIN <= value <= 0xFFFFFFFF:
+        raise ValueError("%s %#x does not fit in 32 bits" % (what, value))
+    return value & 0xFFFFFFFF
 
 
 class _Fixup:
@@ -92,7 +109,7 @@ class AsmBuilder:
 
     def data_word(self, addr, value):
         """Place one initialised 32-bit word in the data segment."""
-        value &= 0xFFFFFFFF
+        value = _constant(value, "data word")
         for offset in range(4):
             self._data[addr + offset] = (value >> (24 - 8 * offset)) & 0xFF
 
@@ -113,8 +130,12 @@ class AsmBuilder:
     # -- emission ----------------------------------------------------------
 
     def raw(self, word):
-        """Emit a pre-encoded instruction word."""
-        self._words.append(word & 0xFFFFFFFF)
+        """Emit a pre-encoded instruction word (0..0xFFFFFFFF)."""
+        word = operator.index(word)
+        if not 0 <= word <= 0xFFFFFFFF:
+            raise ValueError("instruction word %#x does not fit in 32 bits"
+                             % word)
+        self._words.append(word)
 
     def fixup(self, kind, label):
         """Patch the next word's *kind* field with *label* at build time.
@@ -219,7 +240,7 @@ class AsmBuilder:
 
     def li(self, rt, value):
         """Load a 32-bit constant (always two instructions: lui+ori)."""
-        value &= 0xFFFFFFFF
+        value = _constant(value, "li constant")
         self._emit(INSTRUCTIONS["lui"], (rt, (value >> 16) & 0xFFFF))
         self._emit(INSTRUCTIONS["ori"], (rt, rt, value & 0xFFFF))
 

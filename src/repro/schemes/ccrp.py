@@ -93,8 +93,8 @@ def compress_ccrp(program, line_bytes=LINE_BYTES):
     """Huffman-compress *program*'s ``.text`` line-wise, CCRP style.
 
     The per-line loop packs codewords from a 256-entry table with
-    whole-line integer shifts (the same fast path as the CodePack
-    encoder); output is bit-identical to the original
+    whole-line integer shifts (table-driven, like dictword's encoder);
+    output is bit-identical to the original
     :class:`~repro.codepack.bitstream.BitWriter` transcription.
     """
     data = program.text_bytes()

@@ -25,17 +25,15 @@ groups so the two schemes are compared on identical miss machinery; the
 timing model *is* :class:`~repro.sim.codepack_engine.CodePackEngine`,
 pointed at a :class:`DictWordImage`.
 
-Like CodePack, the codec runs on the table-driven fast path of
-:mod:`repro.codepack.fastcodec`: codewords are packed through a
-precomputed word table with whole-block integer shifts, and decoding
-resolves the 1/2/3-bit tag with a single 3-bit peek.  The encoding is
-bit-identical to the original :class:`BitWriter` transcription.
+The codec is table-driven: codewords are packed through a precomputed
+word table with whole-block integer shifts, and decoding resolves the
+1/2/3-bit tag with a single 3-bit peek.  The encoding is bit-identical
+to the original :class:`BitWriter` transcription.
 """
 
 from dataclasses import dataclass
 
 from repro.codepack.compressor import BLOCK_INSTRUCTIONS, GROUP_BLOCKS, BlockInfo
-from repro.codepack.fastcodec import _STAT_MASK, _STAT_SHIFT, _pack_stats
 from repro.codepack.reference import build_index_entries
 from repro.codepack.stats import CompositionStats
 from repro.isa.encoding import INSTRUCTION_BYTES
@@ -50,6 +48,22 @@ RAW_BITS = 32
 DICTIONARY_CAPACITY = sum(1 << bits for _, _, bits in CODEWORD_CLASSES)
 #: Bits per stored dictionary entry (a full instruction).
 DICT_ENTRY_BITS = 32
+
+#: Field width of one packed per-symbol composition-stat counter.  Each
+#: field holds a per-*block* bit count (at most ``block_instructions *
+#: 35`` bits), so 20 bits leaves orders of magnitude of headroom even
+#: for the ablation sweeps' largest block sizes.
+_STAT_SHIFT = 20
+_STAT_MASK = (1 << _STAT_SHIFT) - 1
+
+
+def _pack_stats(compressed_tag, dictionary_index, raw_tag, raw):
+    """Pack the four per-symbol stat contributions into one int, so the
+    encoder accumulates all of them with one addition."""
+    return ((compressed_tag << (3 * _STAT_SHIFT))
+            | (dictionary_index << (2 * _STAT_SHIFT))
+            | (raw_tag << _STAT_SHIFT)
+            | raw)
 
 
 def _class_of_slot(slot):
@@ -87,10 +101,13 @@ _TAG_TABLE = _build_tag_table()
 _MAX_CODEWORD_BITS = RAW_TAG_BITS + RAW_BITS
 
 
-def _build_encode_table(dictionary):
-    """Map instruction word -> ``(code, width, packed_stats)``, exactly
-    as :func:`repro.codepack.fastcodec.build_encode_table` does for
-    halfword dictionaries."""
+def _build_word_table(dictionary):
+    """Map instruction word -> ``(code, width, packed_stats)``.
+
+    ``code`` is the ready-to-pack codeword (tag and index merged) and
+    ``packed_stats`` the symbol's :class:`CompositionStats` contributions
+    in :data:`_STAT_SHIFT`-bit fields.  Raw escapes are added lazily by
+    the encoder as they are first met."""
     table = {}
     slot = 0
     n = len(dictionary)
@@ -181,7 +198,7 @@ def compress_dictword(program, block_instructions=BLOCK_INSTRUCTIONS,
     """Compress a program with the full-word dictionary scheme."""
     words = program.text
     dictionary = _build_dictionary(words)
-    table = _build_encode_table(dictionary)
+    table = _build_word_table(dictionary)
     raw_code_base = RAW_TAG << RAW_BITS
     raw_width = RAW_TAG_BITS + RAW_BITS
     raw_stat = _pack_stats(0, 0, RAW_TAG_BITS, RAW_BITS)

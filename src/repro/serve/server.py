@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 from collections import OrderedDict
 
+from repro.codepack.compressor import compress_words
 from repro.codepack.errors import DecompressionError
-from repro.codepack.veccodec import compress_words_vec
 from repro.serve import protocol, snapshot as snapshot_format
 from repro.serve.batcher import (
     GroupCache,
@@ -683,7 +683,7 @@ class CodePackServer:
         return protocol.encode_compress_response(digest, blob)
 
     def _compress_sync(self, words, text_base, name):
-        image = compress_words_vec(
+        image = compress_words(
             words, text_base=text_base, name=name,
             high_dict=self.shared_dicts[0],
             low_dict=self.shared_dicts[1])

@@ -196,8 +196,45 @@ def save_image(path, image):
         handle.write(dump_image(image))
 
 
+def _check_geometry(n_instructions, blocks, n_entries, block_instructions,
+                    group_blocks):
+    """Raise :class:`ContainerError` unless the block and group layout is
+    the one the encoder builds for *n_instructions*.
+
+    The decoders and the timing model trust this layout: a wrong group
+    size would make a group decode return another group's blocks, and a
+    zero one divides by zero when mapping an address to its group.
+    """
+    if block_instructions < 1 or group_blocks < 1:
+        raise ContainerError(
+            "block geometry %d instructions x %d blocks per group: both "
+            "must be at least 1" % (block_instructions, group_blocks))
+    for block in blocks[:-1]:
+        if block.n_instructions != block_instructions:
+            raise ContainerError(
+                "block %d holds %d instructions, not %d"
+                % (block.index, block.n_instructions, block_instructions))
+    if blocks and not 1 <= blocks[-1].n_instructions <= block_instructions:
+        raise ContainerError(
+            "last block holds %d instructions, not 1..%d"
+            % (blocks[-1].n_instructions, block_instructions))
+    total = sum(block.n_instructions for block in blocks)
+    if total != n_instructions:
+        raise ContainerError("blocks hold %d instructions, header says %d"
+                             % (total, n_instructions))
+    groups = -(-len(blocks) // group_blocks)
+    if n_entries != groups:
+        raise ContainerError(
+            "%d index entries for %d blocks in groups of %d, expected %d"
+            % (n_entries, len(blocks), group_blocks, groups))
+
+
 def parse_image(data):
-    """Load a :class:`CodePackImage` from :func:`dump_image` bytes."""
+    """Load a :class:`CodePackImage` from :func:`dump_image` bytes.
+
+    Raises :class:`ContainerError` for a damaged container, including
+    block/group geometry that does not match the instruction count.
+    """
     reader = _Reader(data)
     _check_header(reader, IMAGE_MAGIC)
     text_base, n_instructions, original = (reader.u32(), reader.u32(),
@@ -228,6 +265,8 @@ def parse_image(data):
     block_instructions = reader.u8()
     group_blocks = reader.u8()
     name = reader.text()
+    _check_geometry(n_instructions, blocks, len(index_entries),
+                    block_instructions, group_blocks)
     return CodePackImage(
         name=name, text_base=text_base, n_instructions=n_instructions,
         high_dict=dictionaries[0], low_dict=dictionaries[1],

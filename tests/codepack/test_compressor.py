@@ -12,6 +12,7 @@ from repro.codepack.compressor import (
     compress_words,
 )
 from repro.codepack.decompressor import decompress_program
+from repro.codepack.reference import compress_words_reference
 from tests.conftest import make_counting_program
 
 WORD = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -184,3 +185,67 @@ class TestPrebuiltDictionaries:
         high, _ = build_dictionaries(words)
         image = compress_words(words, high_dict=high)  # low auto-built
         assert decompress_program(image) == words
+
+
+class TestInputChecks:
+    """Input no image can represent raises ``ValueError`` before any
+    encoding, instead of being masked, truncated or encoded as an image
+    with no blocks or no index entries."""
+
+    @pytest.mark.parametrize("bad_word, position", [
+        (1 << 32, 1), (-1, 0), (1 << 70, 2), (-(1 << 40), 1),
+        (1.9, 0), (1.0, 2), ("1", 1), (None, 0)])
+    def test_bad_word_rejected(self, bad_word, position):
+        words = [0x24210001, 0x8FBF002C, 0x00851021]
+        words[position] = bad_word
+        message = "word %d is not an integer in 0..0xFFFFFFFF: %r" \
+            % (position, bad_word)
+        with pytest.raises(ValueError) as excinfo:
+            compress_words(words)
+        assert str(excinfo.value) == message
+
+    def test_bad_word_rejected_with_supplied_dictionaries(self):
+        # With both dictionaries given no dictionary build sees the
+        # words first: the encoder's own check must catch 1.9.
+        from repro.codepack.dictionary import build_dictionaries
+        high, low = build_dictionaries([1, 2, 3])
+        with pytest.raises(ValueError, match="word 1 is not an integer"):
+            compress_words([1, 1.9, 3], high_dict=high, low_dict=low)
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"block_instructions": -4},
+         "block_instructions must be at least 1, got -4"),
+        ({"block_instructions": 0},
+         "block_instructions must be at least 1, got 0"),
+        ({"group_blocks": -1}, "group_blocks must be at least 1, got -1"),
+        ({"group_blocks": 0}, "group_blocks must be at least 1, got 0"),
+    ])
+    def test_bad_geometry_rejected(self, geometry, message):
+        with pytest.raises(ValueError) as excinfo:
+            compress_words(list(range(40)), **geometry)
+        assert str(excinfo.value) == message
+
+    def test_extreme_words_accepted(self):
+        words = [0, 0xFFFFFFFF, 1, 0xFFFFFFFE]
+        assert decompress_program(compress_words(words)) == words
+
+    def test_numpy_integer_words_accepted(self):
+        import numpy as np
+
+        words = [0x24210001, 0x8FBF002C, 0xFFFFFFFF] * 7
+        expected = compress_words_reference(words)
+        for dtype in (np.uint32, np.int64, np.uint64):
+            array = np.asarray(words, dtype=dtype)
+            for given_words in (array, list(array)):
+                image = compress_words(given_words)
+                assert image.code_bytes == expected.code_bytes
+                assert image.blocks == expected.blocks
+                assert decompress_program(image) == words
+
+    def test_python_and_numpy_integers_mixed(self):
+        import numpy as np
+
+        # NumPy widens this mix to float64; the words convert one by one.
+        words = [np.uint64(0xFFFFFFFF), 3, 0x24210001]
+        image = compress_words(words)
+        assert decompress_program(image) == [int(w) for w in words]

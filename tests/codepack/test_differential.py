@@ -1,17 +1,21 @@
-"""Differential harness: the fast codec against the per-bit reference.
+"""Differential harness: the production codec against the per-bit reference.
 
-The fast path (:mod:`repro.codepack.fastcodec` driven by the
-compressor/decompressor) must be **bit-exact** against the retained
-reference codec (:mod:`repro.codepack.reference`) on every input: same
-code bytes, same index table, same per-block geometry, same
-:class:`~repro.codepack.stats.CompositionStats`.  This file fuzzes that
-contract over 500+ randomized programs plus the workload-derived
+The encoder (:mod:`repro.codepack.compressor`'s vector kernel) and the
+block decoder (:mod:`repro.codepack.fastcodec` behind the
+decompressor) must be **bit-exact** against the retained reference
+codec (:mod:`repro.codepack.reference`) on every input: same code
+bytes, same index table, same per-block geometry, same
+:class:`~repro.codepack.stats.CompositionStats`.  Invalid input must
+raise the same ``ValueError`` from both encoders.  This file fuzzes
+that contract over 500+ randomized programs plus the workload-derived
 benchmark suite, including the ablation geometries.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codepack.batch import compress_many
 from repro.codepack.compressor import compress_words
@@ -45,13 +49,15 @@ def assert_images_identical(fast, ref):
 
 
 def assert_differential(program, **kwargs):
-    fast = compress_words(program.text, name=program.name, **kwargs)
+    """Both encoders build the same image and both decoders invert it;
+    returns the reference image."""
+    image = compress_words(program.text, name=program.name, **kwargs)
     ref = compress_words_reference(program.text, name=program.name, **kwargs)
-    assert_images_identical(fast, ref)
+    assert_images_identical(image, ref)
     words = list(program.text)
-    assert decompress_program(fast) == words
+    assert decompress_program(image) == words
     assert decompress_program_reference(ref) == words
-    return fast
+    return ref
 
 
 class TestRandomizedDifferential:
@@ -77,9 +83,9 @@ class TestRandomizedDifferential:
     def test_parallel_path_matches_fast_and_reference(self):
         for seed in range(40):
             program = random_word_program(seed + 10_000)
-            fast = assert_differential(program)
+            ref = assert_differential(program)
             [batched] = compress_many([program])
-            assert_images_identical(batched, fast)
+            assert_images_identical(batched, ref)
 
 
 class TestWorkloadDifferential:
@@ -87,13 +93,11 @@ class TestWorkloadDifferential:
 
     def test_benchmark_programs_bit_exact(self, small_suite):
         for name, program in small_suite.items():
-            # compress_program encodes through the vector kernel, so the
-            # fast path is called by name.
-            fast = compress_words(program.text, name=program.name,
-                                  text_base=program.text_base)
-            ref = compress_program_reference(program)
-            assert_images_identical(fast, ref)
-            assert decompress_program(fast) == list(program.text)
+            image = compress_words(program.text, name=program.name,
+                                   text_base=program.text_base)
+            assert_images_identical(image,
+                                    compress_program_reference(program))
+            assert decompress_program(image) == list(program.text)
 
     def test_counting_program_bit_exact(self, counting_program):
         assert_differential(counting_program)
@@ -141,3 +145,48 @@ class TestSharedDictionaries:
                                            low_dict=low_dict)
             assert_images_identical(fast, ref)
             assert decompress_program(fast) == words
+
+
+def _error(encoder, words, **kwargs):
+    try:
+        encoder(words, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+BAD_WORDS = st.one_of(
+    st.integers(min_value=1 << 32, max_value=1 << 70),
+    st.integers(max_value=-1, min_value=-(1 << 70)),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
+                      max_size=40),
+       bad=st.lists(st.tuples(st.integers(min_value=0), BAD_WORDS),
+                    max_size=3),
+       block_instructions=st.sampled_from([-4, -1, 0, 1, 16]),
+       group_blocks=st.sampled_from([-1, 0, 1, 2]),
+       shared_dictionaries=st.booleans())
+def test_invalid_input_same_error_from_both_encoders(
+        words, bad, block_instructions, group_blocks, shared_dictionaries):
+    """Bad words (out of range, negative, not integers) and geometry
+    below 1 raise the same ``ValueError``, with the same message, from
+    both encoders -- with and without supplied dictionaries."""
+    for position, value in bad:
+        words.insert(position % (len(words) + 1), value)
+    kwargs = {"block_instructions": block_instructions,
+              "group_blocks": group_blocks}
+    if shared_dictionaries:
+        from repro.codepack.dictionary import build_dictionaries
+
+        kwargs["high_dict"], kwargs["low_dict"] = build_dictionaries(
+            [0x24210001, 0x8FBF002C] * 8)
+    expected = _error(compress_words_reference, words, **kwargs)
+    assert _error(compress_words, words, **kwargs) == expected
+    invalid = bad or block_instructions < 1 or group_blocks < 1
+    assert (expected is not None) == bool(invalid)

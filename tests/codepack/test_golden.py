@@ -7,11 +7,11 @@ codeword allocation, or stat accounting shows up here as a byte-for-byte
 diff, separating "intentional format change" (regenerate the fixtures,
 review the diff) from "accidental corruption" (fix the codec).
 
-Every implementation tier is held to the same goldens: the scalar fast
-path, the per-bit reference, and the vectorized kernels -- including
-the fused shared-dictionary batch path, which
-``golden/batch_shared.json`` pins program-by-program.  A drift in any
-one tier's bytes fails here by name.
+Both encoders are held to the same goldens: the vector kernel and the
+per-bit reference -- including the kernel's fused shared-dictionary
+batch path, which ``golden/batch_shared.json`` pins program-by-program
+-- and both decoders must invert them.  A drift in either encoder's
+bytes fails here by name.
 
 Regenerate after an intentional format change with::
 
@@ -24,7 +24,7 @@ import pathlib
 import pytest
 
 from repro.codepack import veccodec
-from repro.codepack.compressor import compress_words
+from repro.codepack.compressor import compress_many, compress_words
 from repro.codepack.decompressor import decompress_program
 from repro.codepack.dictionary import build_dictionaries
 from repro.codepack.reference import compress_words_reference
@@ -104,11 +104,10 @@ def batch_shared_programs():
 
 
 def _implementations(words, name, high_dict=None, low_dict=None):
-    """Every tier's compression of *words*, labelled."""
+    """Each encoder's compression of *words*, labelled."""
     kwargs = {"name": name, "high_dict": high_dict, "low_dict": low_dict}
-    return [("fast", compress_words(words, **kwargs)),
-            ("reference", compress_words_reference(words, **kwargs)),
-            ("veccodec", veccodec.compress_words_vec(words, **kwargs))]
+    return [("compress_words", compress_words(words, **kwargs)),
+            ("reference", compress_words_reference(words, **kwargs))]
 
 
 @pytest.mark.parametrize("name", sorted(golden_programs()))
@@ -132,7 +131,7 @@ def test_golden_batch_shared_dictionary():
     """The fused batch path is pinned program-by-program.
 
     Each program's image must match its committed record whether it was
-    compressed alone (any tier) or as part of the single fused
+    compressed alone (either encoder) or as part of the single fused
     shared-dictionary kernel pass.
     """
     golden = json.loads((GOLDEN_DIR / "batch_shared.json").read_text())
@@ -145,10 +144,9 @@ def test_golden_batch_shared_dictionary():
         per_program.append(
             _implementations(words, "batch%d" % i,
                              high_dict=high_dict, low_dict=low_dict))
-    fused = veccodec.compress_many_vec(programs, high_dict=high_dict,
-                                       low_dict=low_dict)
+    fused = compress_many(programs, high_dict=high_dict, low_dict=low_dict)
     for i, image in enumerate(fused):
-        per_program[i].append(("veccodec-fused", image))
+        per_program[i].append(("compress_many-fused", image))
 
     for i, impls in enumerate(per_program):
         expected = golden["images"][i]
@@ -163,7 +161,7 @@ def regenerate():
         image = compress_words(words, name=name)
         ref = compress_words_reference(words, name=name)
         record = image_record(image)
-        assert record == image_record(ref), "fast != reference during regen"
+        assert record == image_record(ref), "encoder != reference during regen"
         path = GOLDEN_DIR / ("%s.json" % name)
         path.write_text(json.dumps({"words": words, "image": record},
                                    indent=1) + "\n")
@@ -178,7 +176,7 @@ def regenerate():
                                        high_dict=high_dict,
                                        low_dict=low_dict)
         record = image_record(image)
-        assert record == image_record(ref), "fast != reference during regen"
+        assert record == image_record(ref), "encoder != reference during regen"
         records.append(record)
     path = GOLDEN_DIR / "batch_shared.json"
     path.write_text(json.dumps(

@@ -1,16 +1,17 @@
-"""Three-way differential harness for the vectorized codec kernels.
+"""Differential harness for the vector codec kernels.
 
-:mod:`repro.codepack.veccodec` is the third codec tier; its contract is
-the same as the fast path's, one level up: **byte-identical** compressed
-images and **word-identical** decodes against both
-:mod:`repro.codepack.reference` (the per-bit oracle) and
-:mod:`repro.codepack.fastcodec` (the scalar table-driven tier), on every
-input -- the full workload corpus, adversarial shapes (mid-group tails,
-zero-instruction programs, empty images, single-codeword groups,
-max-length raw escapes), Hypothesis-generated programs, ragged batches,
-and a checked-in regression corpus pinned by container digest.  Error
-behaviour must match too: malformed bitstreams raise the same exception
-types with the same messages through either tier.
+The encoder (:mod:`repro.codepack.compressor`, single programs and
+fused batches) must build **byte-identical** images to
+:mod:`repro.codepack.reference` (the per-bit oracle), and the batch
+decoders of :mod:`repro.codepack.veccodec` must decode
+**word-identically** to both the oracle and fastcodec's block decoder,
+on every input -- the full workload corpus, adversarial shapes
+(mid-group tails, zero-instruction programs, empty images,
+single-codeword groups, max-length raw escapes), Hypothesis-generated
+programs, ragged batches, and a checked-in regression corpus pinned by
+container digest.  Error behaviour must match too: malformed bitstreams
+raise the same exception types with the same messages through either
+decoder.
 """
 
 import dataclasses
@@ -24,8 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codepack import batch, veccodec
-from repro.codepack.compressor import compress_words
+from repro.codepack import batch
+from repro.codepack.compressor import (
+    compress_many,
+    compress_program,
+    compress_words,
+)
 from repro.codepack.decompressor import decompress_program
 from repro.codepack.dictionary import build_dictionaries
 from repro.codepack.reference import (
@@ -34,8 +39,6 @@ from repro.codepack.reference import (
     decompress_program_reference,
 )
 from repro.codepack.veccodec import (
-    compress_many_vec,
-    compress_words_vec,
     decode_block_sets_vec,
     decompress_many_vec,
     decompress_program_vec,
@@ -54,34 +57,32 @@ from tests.conftest import (
 CORPUS_PATH = pathlib.Path(__file__).parent / "veccodec_corpus.json"
 
 
-def assert_three_way(words, **kwargs):
-    """All three tiers emit the same image; all three decode it back."""
+def assert_matches_reference(words, **kwargs):
+    """The encoder builds the reference's image; all three decoders
+    (vector, block, reference) decode it back."""
     words = list(words)
-    vec = compress_words_vec(words, **kwargs)
-    fast = compress_words(words, **kwargs)
-    ref = compress_words_reference(words, **kwargs)
-    assert_images_identical(vec, fast)
-    assert_images_identical(vec, ref)
-    assert decompress_program_vec(vec) == words
-    assert decompress_program(fast) == words
-    assert decompress_program_reference(ref) == words
-    return vec
+    image = compress_words(words, **kwargs)
+    assert_images_identical(image, compress_words_reference(words, **kwargs))
+    assert decompress_program_vec(image) == words
+    assert decompress_program(image) == words
+    assert decompress_program_reference(image) == words
+    return image
 
 
 class TestRandomizedDifferential:
-    """Seeded fuzz sweep, all three tiers."""
+    """Seeded fuzz sweep, encoder and decoders against the oracle."""
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_programs_bit_exact(self, chunk):
         for i in range(30):
             program = random_word_program(chunk * 30 + i + 50_000)
-            assert_three_way(program.text, name=program.name)
+            assert_matches_reference(program.text, name=program.name)
 
     @pytest.mark.parametrize("kind", WORD_DISTRIBUTIONS)
     def test_each_distribution_at_block_boundaries(self, kind):
         rng = random.Random(hash(kind) & 0xFFFF)
         for size in (0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65):
-            assert_three_way(random_words(rng, size, kind))
+            assert_matches_reference(random_words(rng, size, kind))
 
 
 class TestWorkloadDifferential:
@@ -89,29 +90,23 @@ class TestWorkloadDifferential:
 
     def test_benchmark_programs_bit_exact(self, small_suite):
         for name, program in small_suite.items():
-            vec = compress_words_vec(program.text, name=program.name,
-                                     text_base=program.text_base)
-            # compress_program encodes through the vector kernel, so the
-            # scalar tier is called by name.
-            fast = compress_words(program.text, name=program.name,
-                                  text_base=program.text_base)
-            ref = compress_program_reference(program)
-            assert_images_identical(vec, fast)
-            assert_images_identical(vec, ref)
-            assert decompress_program_vec(vec) == list(program.text)
+            image = compress_program(program)
+            assert_images_identical(image,
+                                    compress_program_reference(program))
+            assert decompress_program_vec(image) == list(program.text)
 
     def test_counting_program_bit_exact(self, counting_program):
-        assert_three_way(counting_program.text)
+        assert_matches_reference(counting_program.text)
 
     def test_memory_program_bit_exact(self, memory_program):
-        assert_three_way(memory_program.text)
+        assert_matches_reference(memory_program.text)
 
 
 class TestAdversarialShapes:
     """The geometry and escape edges the kernels must not round off."""
 
     def test_zero_instruction_program(self):
-        image = assert_three_way([])
+        image = assert_matches_reference([])
         assert image.code_bytes == b""
         assert decompress_many_vec([image]) == [[]]
 
@@ -122,12 +117,12 @@ class TestAdversarialShapes:
 
     def test_single_codeword_groups(self):
         words = random_words(random.Random(2), 9, "workload")
-        assert_three_way(words, block_instructions=1, group_blocks=1)
+        assert_matches_reference(words, block_instructions=1, group_blocks=1)
 
     def test_mid_group_tails(self):
         rng = random.Random(3)
         for size in (17, 33, 47, 63):
-            assert_three_way(random_words(rng, size, "workload"))
+            assert_matches_reference(random_words(rng, size, "workload"))
 
     def test_max_length_escapes_stay_packed(self):
         # 12 dictionary hits keep the block under the raw threshold, so
@@ -135,13 +130,13 @@ class TestAdversarialShapes:
         # halves are packed, not absorbed into a whole-block raw.
         words = [0x24420001] * 12 + [0xABCD1234, 0x5678EF01,
                                      0x13579BDF, 0x2468ACE0]
-        image = assert_three_way(words)
+        image = assert_matches_reference(words)
         assert not any(block.is_raw for block in image.blocks)
         assert image.stats.raw_tag_bits > 0
 
     def test_whole_block_raw_escapes(self):
         words = random_words(random.Random(4), 48, "incompressible")
-        image = assert_three_way(words)
+        image = assert_matches_reference(words)
         assert any(block.is_raw for block in image.blocks)
 
     @pytest.mark.parametrize("block_instructions", [1, 4, 16, 32])
@@ -150,9 +145,9 @@ class TestAdversarialShapes:
         rng = random.Random(block_instructions * 10 + group_blocks)
         for size in (0, 1, block_instructions,
                      block_instructions * group_blocks + 1, 100):
-            assert_three_way(random_words(rng, size, "workload"),
-                             block_instructions=block_instructions,
-                             group_blocks=group_blocks)
+            assert_matches_reference(random_words(rng, size, "workload"),
+                                     block_instructions=block_instructions,
+                                     group_blocks=group_blocks)
 
     @pytest.mark.parametrize("group_blocks", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_blocks", [1, 2, 3, 7, 8, 9])
@@ -161,9 +156,8 @@ class TestAdversarialShapes:
         # The vectorized index builder against the shared scalar oracle
         # over synthetic geometries: ragged tails, raw flags in both
         # slots, single-block groups.
-        from repro.codepack.compressor import BlockInfo
+        from repro.codepack.compressor import BlockInfo, _index_entries_vec
         from repro.codepack.reference import build_index_entries
-        from repro.codepack.veccodec import _index_entries_vec
 
         rng = random.Random(group_blocks * 100 + n_blocks)
         lengths = [rng.randrange(1, 70) for _ in range(n_blocks)]
@@ -193,22 +187,21 @@ class TestBatchKernels:
         progs = self.ragged_programs()
         pool = [w for p in progs for w in p]
         high_dict, low_dict = build_dictionaries(pool)
-        fused = compress_many_vec(progs, high_dict=high_dict,
-                                  low_dict=low_dict)
+        fused = compress_many(progs, high_dict=high_dict, low_dict=low_dict)
         for program, image in zip(progs, fused):
-            scalar = compress_words(program, high_dict=high_dict,
-                                    low_dict=low_dict)
-            assert_images_identical(image, scalar)
+            assert_images_identical(
+                image, compress_words_reference(program, high_dict=high_dict,
+                                                low_dict=low_dict))
 
     def test_per_program_dictionary_batch(self):
         progs = self.ragged_programs()
-        for program, image in zip(progs, compress_many_vec(progs)):
-            assert_images_identical(image, compress_words(program))
+        for program, image in zip(progs, compress_many(progs)):
+            assert_images_identical(image, compress_words_reference(program))
 
     def test_batch_of_one(self):
         words = random_words(random.Random(6), 40, "workload")
-        [image] = compress_many_vec([words])
-        assert_images_identical(image, compress_words(words))
+        [image] = compress_many([words])
+        assert_images_identical(image, compress_words_reference(words))
         assert decompress_many_vec([image]) == [words]
 
     def test_decompress_many_matches_scalar(self):
@@ -220,12 +213,12 @@ class TestBatchKernels:
 
     def test_batch_entry_points_route_identically(self):
         progs = self.ragged_programs()
-        vec_images = batch.compress_many(progs)
-        scalar_images = [compress_words(p) for p in progs]
-        for vec_image, scalar_image in zip(vec_images, scalar_images):
-            assert_images_identical(vec_image, scalar_image)
-        assert batch.decompress_many(vec_images) == \
-            [decompress_program(image) for image in scalar_images]
+        images = batch.compress_many(progs)
+        ref_images = [compress_words_reference(p) for p in progs]
+        for image, ref_image in zip(images, ref_images):
+            assert_images_identical(image, ref_image)
+        assert batch.decompress_many(images) == \
+            [decompress_program_reference(image) for image in ref_images]
 
     def test_decode_groups_batch_parity(self):
         progs = self.ragged_programs()
@@ -305,7 +298,7 @@ class TestRegressionCorpus:
 
     def test_corpus_cases_three_way(self):
         for case in self.cases():
-            image = assert_three_way(
+            image = assert_matches_reference(
                 case["words"],
                 block_instructions=case["block_instructions"],
                 group_blocks=case["group_blocks"])
@@ -326,14 +319,14 @@ word_lists = st.lists(word, max_size=120)
 @settings(max_examples=50, deadline=None)
 @given(words=word_lists)
 def test_hypothesis_roundtrip_vec(words):
-    image = compress_words_vec(words)
+    image = compress_words(words)
     assert decompress_program_vec(image) == words
 
 
 @settings(max_examples=40, deadline=None)
 @given(words=word_lists)
 def test_hypothesis_three_way_equivalence(words):
-    assert_three_way(words)
+    assert_matches_reference(words)
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,8 +335,8 @@ def test_hypothesis_three_way_equivalence(words):
        group_blocks=st.sampled_from([1, 2, 4]))
 def test_hypothesis_geometry_equivalence(words, block_instructions,
                                          group_blocks):
-    assert_three_way(words, block_instructions=block_instructions,
-                     group_blocks=group_blocks)
+    assert_matches_reference(words, block_instructions=block_instructions,
+                             group_blocks=group_blocks)
 
 
 @settings(max_examples=25, deadline=None)
@@ -351,20 +344,21 @@ def test_hypothesis_geometry_equivalence(words, block_instructions,
        dict_seed=st.integers(min_value=0, max_value=2**16))
 def test_hypothesis_ragged_batches(batch_programs, dict_seed):
     """Batches of any raggedness (including empty programs and a batch
-    of one) match the scalar tier, with and without shared dicts."""
-    images = compress_many_vec(batch_programs)
+    of one) match the reference encoder, with and without shared
+    dicts."""
+    images = compress_many(batch_programs)
     for program, image in zip(batch_programs, images):
-        assert_images_identical(image, compress_words(program))
+        assert_images_identical(image, compress_words_reference(program))
     assert decompress_many_vec(images) == batch_programs
 
     donor = random_words(random.Random(dict_seed), 60, "workload")
     high_dict, low_dict = build_dictionaries(donor)
-    fused = compress_many_vec(batch_programs, high_dict=high_dict,
-                              low_dict=low_dict)
+    fused = compress_many(batch_programs, high_dict=high_dict,
+                          low_dict=low_dict)
     for program, image in zip(batch_programs, fused):
         assert_images_identical(
-            image, compress_words(program, high_dict=high_dict,
-                                  low_dict=low_dict))
+            image, compress_words_reference(program, high_dict=high_dict,
+                                            low_dict=low_dict))
 
 
 @settings(max_examples=25, deadline=None)
@@ -372,9 +366,9 @@ def test_hypothesis_ragged_batches(batch_programs, dict_seed):
        seed=st.integers(min_value=0, max_value=2**16))
 def test_hypothesis_dictionary_sizes(entries, seed):
     """Dictionaries of any fill level (empty through overflowing every
-    size class) drive identical codewords through all tiers."""
+    size class) drive identical codewords through both encoders."""
     rng = random.Random(seed)
     donor = [rng.getrandbits(32) for _ in range(entries)]
     high_dict, low_dict = build_dictionaries(donor)
     words = random_words(rng, 50, "workload")
-    assert_three_way(words, high_dict=high_dict, low_dict=low_dict)
+    assert_matches_reference(words, high_dict=high_dict, low_dict=low_dict)

@@ -222,6 +222,42 @@ class TestDirectives:
             assemble(".word 1")
 
 
+class TestConstantRanges:
+    """``li`` and ``.word`` take -0x80000000..0xFFFFFFFF; anything else
+    is an error naming the line, not a wrapped value."""
+
+    @pytest.mark.parametrize("value", ["0x100000000", "-0x80000001",
+                                       "4294967296", "0x1FFFFFFFF"])
+    def test_li_out_of_range_rejected(self, value):
+        with pytest.raises(AssemblerError, match="line 2: constant %s "
+                           "does not fit in 32 bits" % value):
+            assemble("main: nop\n    li $t0, %s\n" % value)
+
+    @pytest.mark.parametrize("value, high, low", [
+        ("0xFFFFFFFF", 0xFFFF, 0xFFFF), ("-0x80000000", 0x8000, 0),
+        ("-1", 0xFFFF, 0xFFFF)])
+    def test_li_range_ends_accepted(self, value, high, low):
+        words = words_of("li $t0, %s" % value)
+        assert decode(words[0]).imm == high
+        assert decode(words[1]).imm == low
+
+    @pytest.mark.parametrize("value", ["0x100000005", "-0x80000001"])
+    def test_word_out_of_range_rejected(self, value):
+        source = ".data 0x10000000\ntab: .word 1, %s\n.text\nsyscall\n" \
+            % value
+        with pytest.raises(AssemblerError, match="line 2: constant %s "
+                           "does not fit in 32 bits" % value):
+            assemble(source)
+
+    @pytest.mark.parametrize("value, stored", [
+        ("-0x80000000", [0x80, 0, 0, 0]), ("-1", [0xFF] * 4),
+        ("0xFFFFFFFF", [0xFF] * 4)])
+    def test_word_range_ends_accepted(self, value, stored):
+        prog = assemble(".data 0x10000000\ntab: .word %s\n.text\nsyscall\n"
+                        % value)
+        assert [prog.data[0x10000000 + i] for i in range(4)] == stored
+
+
 class TestErrors:
     def test_unknown_mnemonic(self):
         with pytest.raises(AssemblerError) as err:

@@ -205,3 +205,58 @@ class TestDataSegment:
         prog = b.build()
         assert [prog.data[0x10000000 + i] for i in range(4)] \
             == [0x11, 0x22, 0x33, 0x44]
+
+
+class TestConstantRanges:
+    """32-bit values outside their range raise instead of wrapping:
+    ``li`` and data words take -0x80000000..0xFFFFFFFF, ``raw``
+    0..0xFFFFFFFF."""
+
+    @pytest.mark.parametrize("value", [1 << 32, 0x100000005,
+                                       -0x80000001, -(1 << 40)])
+    def test_li_out_of_range_rejected(self, value):
+        b = AsmBuilder()
+        with pytest.raises(ValueError, match="li constant"):
+            b.li(T0, value)
+        assert b.words == []
+
+    @pytest.mark.parametrize("value, high, low", [
+        (0xFFFFFFFF, 0xFFFF, 0xFFFF), (-0x80000000, 0x8000, 0),
+        (-1, 0xFFFF, 0xFFFF), (0x12345678, 0x1234, 0x5678)])
+    def test_li_range_ends_accepted(self, value, high, low):
+        b = AsmBuilder()
+        b.li(T0, value)
+        prog = b.build()
+        assert decode(prog.text[0]).imm == high
+        assert decode(prog.text[1]).imm == low
+
+    @pytest.mark.parametrize("value", [1 << 32, -0x80000001])
+    def test_data_word_out_of_range_rejected(self, value):
+        b = AsmBuilder()
+        with pytest.raises(ValueError, match="data word"):
+            b.data_word(0x10000000, value)
+        with pytest.raises(ValueError, match="data word"):
+            b.data_words(0x10000000, [1, value])
+
+    @pytest.mark.parametrize("value, stored", [
+        (-0x80000000, [0x80, 0, 0, 0]), (-1, [0xFF] * 4),
+        (0xFFFFFFFF, [0xFF] * 4)])
+    def test_data_word_range_ends_accepted(self, value, stored):
+        b = AsmBuilder()
+        b.data_word(0x10000000, value)
+        b.nop()
+        prog = b.build()
+        assert [prog.data[0x10000000 + i] for i in range(4)] == stored
+
+    @pytest.mark.parametrize("word", [-1, 1 << 32, 0x1FFFFFFFF])
+    def test_raw_out_of_range_rejected(self, word):
+        b = AsmBuilder()
+        with pytest.raises(ValueError, match="instruction word"):
+            b.raw(word)
+        assert b.words == []
+
+    def test_raw_range_ends_accepted(self):
+        b = AsmBuilder()
+        b.raw(0)
+        b.raw(0xFFFFFFFF)
+        assert b.build().text == [0, 0xFFFFFFFF]

@@ -8,6 +8,7 @@ completing admitted requests.
 
 import asyncio
 import contextlib
+import dataclasses
 import os
 import signal
 import socket
@@ -21,6 +22,7 @@ import pytest
 import repro
 from repro.codepack.compressor import GROUP_INSTRUCTIONS, compress_words
 from repro.codepack.decompressor import decompress_program
+from repro.codepack.reference import compress_words_reference
 from repro.serve import batcher as batcher_mod
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServerClosedError
@@ -102,8 +104,8 @@ class TestRoundTrips:
         blob, words = run(main())
         assert words == EXPECTED_WORDS
         # The returned blob is the canonical container: same digest
-        # as a local compression of the same words.
-        image = compress_words(PROGRAM.text, name=PROGRAM.name)
+        # as the reference encoder's image of the same words.
+        image = compress_words_reference(PROGRAM.text, name=PROGRAM.name)
         assert blob == dump_image(image)
 
     def test_decompress_inline_image(self):
@@ -122,6 +124,26 @@ class TestRoundTrips:
         words = run(main())
         assert words == EXPECTED_WORDS[2 * per_group:5 * per_group]
 
+    @pytest.mark.parametrize("group_blocks", [0, 7])
+    def test_decompress_inline_image_bad_geometry(self, group_blocks):
+        # A group size the blocks do not match would decode an empty
+        # group (0) or the wrong blocks (7); the load rejects both.
+        image = compress_words(PROGRAM.text, name=PROGRAM.name)
+        blob = dump_image(dataclasses.replace(image,
+                                              group_blocks=group_blocks))
+
+        async def main():
+            async with running_server() as server:
+                async with connected(server) as client:
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await client.decompress(image_bytes=blob,
+                                                group_start=1,
+                                                group_count=1,
+                                                timeout=30.0)
+                    return excinfo.value.code
+
+        assert run(main()) == protocol.ERR_BAD_REQUEST
+
     def test_stats(self):
         async def main():
             async with running_server() as server:
@@ -131,7 +153,7 @@ class TestRoundTrips:
                     return await client.stats(digest, timeout=30.0)
 
         stats = run(main())
-        image = compress_words(PROGRAM.text, name=PROGRAM.name)
+        image = compress_words_reference(PROGRAM.text, name=PROGRAM.name)
         assert stats["n_instructions"] == len(PROGRAM.text)
         assert stats["n_groups"] == image.n_groups
         assert stats["compression_ratio"] == \
@@ -835,7 +857,7 @@ class TestCompressBatching:
             return digest, blob
 
         digest, blob = run(main())
-        image = compress_words(PROGRAM.text, name=PROGRAM.name)
+        image = compress_words_reference(PROGRAM.text, name=PROGRAM.name)
         assert blob == dump_image(image)
 
     def test_concurrent_compresses_share_windows(self):
@@ -885,7 +907,7 @@ class TestCompressBatching:
         assert first == second
         # Pinned dictionaries are corpus-built, not per-program: the
         # container differs from the self-tuned one.
-        image = compress_words(PROGRAM.text, name=PROGRAM.name)
+        image = compress_words_reference(PROGRAM.text, name=PROGRAM.name)
         assert first != dump_image(image)
 
     def test_unknown_shared_dictionary_benchmark_rejected(self):

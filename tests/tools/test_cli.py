@@ -300,6 +300,11 @@ class TestDamagedInputs:
                            ("tag", b"\xc0" * 35)):
             save_image(tmp_path / ("stream-%s.cpk" % name),
                        dataclasses.replace(image, code_bytes=code))
+        # Containers whose header geometry does not match their blocks.
+        save_image(tmp_path / "group0.cpk",
+                   dataclasses.replace(image, group_blocks=0))
+        save_image(tmp_path / "block4.cpk",
+                   dataclasses.replace(image, block_instructions=4))
         # Intact programs that fault when run.
         save_program(tmp_path / "empty.ss32", Program(text=[]))
         save_program(tmp_path / "bad-word.ss32",
@@ -320,6 +325,13 @@ class TestDamagedInputs:
         pytest.param(["codepack", "verify", "demo.ss32", "stream-tag.cpk"],
                      "stream-tag.cpk", "'unknown tag 0b110/3 in high stream'",
                      id="codepack-verify-unknown-tag"),
+        pytest.param(["codepack", "verify", "demo.ss32", "group0.cpk"],
+                     "group0.cpk", "block geometry 16 instructions x 0 "
+                     "blocks per group: both must be at least 1",
+                     id="codepack-verify-zero-group"),
+        pytest.param(["codepack", "verify", "demo.ss32", "block4.cpk"],
+                     "block4.cpk", "last block holds 13 instructions, "
+                     "not 1..4", id="codepack-verify-block-size"),
         pytest.param(["codepack", "inspect", "random.bin"], "random.bin",
                      "bad magic (not a 'CPKIMG' container)",
                      id="codepack-inspect-garbage"),

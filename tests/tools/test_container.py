@@ -1,21 +1,33 @@
 """Tests for the on-disk containers."""
 
+import dataclasses
 import json
+import random
 import struct
 
 import pytest
 
-from repro.codepack.compressor import compress_program
+from repro.codepack.compressor import (
+    BlockInfo,
+    compress_program,
+    compress_words,
+)
+from repro.codepack.reference import compress_words_reference
 from repro.tools.container import (
     ContainerError,
     dump_image,
     dump_program,
     load_image,
     load_program,
+    parse_image,
     save_image,
     save_program,
 )
-from tests.conftest import make_counting_program, make_memory_program
+from tests.conftest import (
+    make_counting_program,
+    make_memory_program,
+    random_words,
+)
 
 
 class TestProgramContainer:
@@ -155,3 +167,86 @@ class TestImageContainer:
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerError, match="malformed dictionary"):
             load_image(path)
+
+
+class TestImageGeometry:
+    """``parse_image`` loads only the block/group layout the encoders
+    build: blocks of ``block_instructions`` (the last may be short)
+    covering ``n_instructions``, grouped ``group_blocks`` to an index
+    entry."""
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        # 13 blocks (the last holds 8 instructions) in 7 groups.
+        return compress_words(random_words(random.Random(5), 200,
+                                           "workload"))
+
+    def test_invariants_hold_on_both_encoders_images(self):
+        rng = random.Random(9)
+        for n in (0, 1, 15, 16, 17, 31, 33, 64, 100, 129):
+            words = random_words(rng, n, "workload")
+            for block_instructions in (1, 2, 3, 4, 8, 16, 32):
+                for group_blocks in (1, 2, 3, 4):
+                    for encoder in (compress_words,
+                                    compress_words_reference):
+                        image = encoder(
+                            words, block_instructions=block_instructions,
+                            group_blocks=group_blocks)
+                        loaded = parse_image(dump_image(image))
+                        assert loaded.blocks == image.blocks
+                        assert loaded.index_entries == image.index_entries
+
+    def test_short_middle_block_rejected(self, image):
+        blocks = list(image.blocks)
+        blocks[3] = dataclasses.replace(
+            blocks[3], n_instructions=15,
+            inst_end_bits=blocks[3].inst_end_bits[:15])
+        with pytest.raises(ContainerError,
+                           match="block 3 holds 15 instructions, not 16"):
+            parse_image(dump_image(dataclasses.replace(image,
+                                                       blocks=blocks)))
+
+    def test_empty_last_block_rejected(self):
+        # 192 words fill 12 blocks exactly; a 13th holds nothing.
+        image = compress_words(random_words(random.Random(6), 192,
+                                            "workload"))
+        extra = BlockInfo(12, len(image.code_bytes), 0, False, 0, ())
+        bad = dataclasses.replace(image, blocks=image.blocks + [extra])
+        with pytest.raises(ContainerError,
+                           match="last block holds 0 instructions"):
+            parse_image(dump_image(bad))
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"group_blocks": 0}, "16 instructions x 0 blocks per group"),
+        ({"block_instructions": 0}, "0 instructions x 2 blocks per group"),
+        ({"group_blocks": 7},
+         "7 index entries for 13 blocks in groups of 7, expected 2"),
+        ({"group_blocks": 1},
+         "7 index entries for 13 blocks in groups of 1, expected 13"),
+        ({"block_instructions": 8}, "block 0 holds 16 instructions, not 8"),
+        ({"block_instructions": 32},
+         "block 0 holds 16 instructions, not 32"),
+        ({"n_instructions": 201},
+         "blocks hold 200 instructions, header says 201"),
+    ])
+    def test_header_geometry_mismatch_rejected(self, image, change, reason):
+        with pytest.raises(ContainerError, match=reason):
+            parse_image(dump_image(dataclasses.replace(image, **change)))
+
+    def test_missing_index_entry_rejected(self, image):
+        bad = dataclasses.replace(image,
+                                  index_entries=image.index_entries[:-1])
+        with pytest.raises(ContainerError,
+                           match="6 index entries for 13 blocks"):
+            parse_image(dump_image(bad))
+
+    def test_group_blocks_byte_flip_rejected(self, image):
+        # The byte the serve tier trusts to split groups: loaded as 7
+        # it would decode group 1 as blocks 7-13, as 0 divide by zero.
+        data = bytearray(dump_image(image))
+        at = len(data) - 4 - len(image.name.encode("utf-8")) - 1
+        assert data[at] == image.group_blocks
+        for value in (0, 7):
+            data[at] = value
+            with pytest.raises(ContainerError):
+                parse_image(bytes(data))
